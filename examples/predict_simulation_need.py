@@ -3,9 +3,10 @@
 
 This is the paper's Section VI workflow end to end:
 
-1. measure a training corpus with all four tools (here: a reduced
-   corpus so the example runs in about a minute; pass --full for the
-   whole 235-trace study, cached after the first run);
+1. measure a training corpus with all four tools (here: the first 48
+   corpus traces; measuring them took 24.5 minutes on a shared 2-vCPU
+   VM, and the records are cached under .cache/, so later runs take
+   seconds; pass --full for the whole 235-trace study);
 2. train the stepwise logistic model with Monte Carlo cross-validation;
 3. ask the enhanced MFACT whether *new* applications need simulation —
    from one cheap modeling replay, no simulator involved.

@@ -5,10 +5,13 @@ bandwidth factors) for each trace of a seeded mini-corpus two ways:
 
 * **replayed** — one single-configuration
   :class:`~repro.mfact.logical_clock.LogicalClockReplay` per grid
-  point.  This is the general-case cost of design-space exploration:
-  the vectorized multi-config grid trick only collapses axes that are
-  affine per event (latency/bandwidth), so any study that perturbs
-  structure-adjacent knobs pays one replay per point.
+  point: the cost of probing configurations one at a time, as a
+  caller without a grid up front (a threshold search, an interactive
+  query) must.  The speedup is relative to that baseline only.  When
+  the grid is known up front, one multi-configuration replay prices
+  all of it, compute axis included — that is the default path of
+  :func:`~repro.mfact.whatif.explore_design_space`, and it beats
+  tape pricing.
 * **analytic** — record the max-plus dependency graph once
   (:func:`repro.sensitivity.record_graph`) and price all 100 points
   with a single :meth:`~repro.sensitivity.DependencyGraph.evaluate`

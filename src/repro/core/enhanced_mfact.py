@@ -23,7 +23,8 @@ from repro.mfact.logical_clock import model_trace
 from repro.stats.logistic import LogisticModel
 from repro.stats.mccv import CrossValidationResult, monte_carlo_cv
 from repro.stats.metrics import ConfusionCounts, confusion
-from repro.sensitivity.analysis import analyze_trace
+from repro.sensitivity.analysis import analyze_graph
+from repro.sensitivity.graph import GraphRecorder
 from repro.stats.stepwise import MAX_VARIABLES, stepwise_forward
 from repro.trace.features import (
     NUMERIC_FEATURE_NAMES,
@@ -34,6 +35,7 @@ from repro.trace.trace import TraceSet
 
 __all__ = [
     "CANDIDATE_NAMES",
+    "candidate_row",
     "design_matrix",
     "labels",
     "EnhancedMFACT",
@@ -60,6 +62,24 @@ def _row(features: Dict[str, float], cs: bool) -> List[float]:
 def design_matrix(records: Sequence[StudyRecord]) -> np.ndarray:
     """(n, 38) candidate-feature matrix for study records."""
     return np.array([_row(r.features, r.mfact_cs) for r in records], dtype=float)
+
+
+def candidate_row(trace: TraceSet, machine: MachineConfig) -> np.ndarray:
+    """The full candidate-feature vector of an unmeasured trace.
+
+    One MFACT replay over the default sweep supplies ``CL`` and, through
+    a :class:`GraphRecorder` riding the same replay, the sensitivity
+    tape.  The row is bitwise-equal to the :func:`design_matrix` row of
+    the trace's measured record, so the model predicts on exactly the
+    features it was trained on.
+    """
+    recorder = GraphRecorder(trace.nranks, machine)
+    report = model_trace(trace, machine, recorder=recorder)
+    features = dict(extract_features(trace))
+    features.update(
+        analyze_graph(recorder.finish(), machine, lat_factors=(), bw_factors=()).features()
+    )
+    return np.array(_row(features, report.communication_sensitive), dtype=float)
 
 
 def labels(records: Sequence[StudyRecord]) -> np.ndarray:
@@ -125,9 +145,12 @@ class EnhancedMFACT:
 
     # -- prediction ----------------------------------------------------------
 
-    def _vector(self, features: Dict[str, float], cs: bool) -> np.ndarray:
-        full = dict(zip(CANDIDATE_NAMES, _row(features, cs)))
+    def _select(self, row: Sequence[float]) -> np.ndarray:
+        full = dict(zip(CANDIDATE_NAMES, row))
         return np.array([full[name] for name in self.selected], dtype=float)
+
+    def _vector(self, features: Dict[str, float], cs: bool) -> np.ndarray:
+        return self._select(_row(features, cs))
 
     def predict_record(self, record: StudyRecord) -> bool:
         """Recommend simulation for a measured study record."""
@@ -140,15 +163,11 @@ class EnhancedMFACT:
     def predict_trace(self, trace: TraceSet, machine: MachineConfig) -> bool:
         """End-to-end: model the trace with MFACT, then recommend.
 
-        This is the deployment path: one cheap modeling replay decides
-        whether the expensive simulation is worth running.
+        This is the deployment path: one cheap modeling replay (see
+        :func:`candidate_row`) decides whether the expensive simulation
+        is worth running.
         """
-        report = model_trace(trace, machine)
-        features = dict(extract_features(trace))
-        features.update(analyze_trace(trace, machine).features())
-        return bool(
-            self.model.predict(self._vector(features, report.communication_sensitive))[0]
-        )
+        return bool(self.model.predict(self._select(candidate_row(trace, machine)))[0])
 
     def evaluate(self, records: Sequence[StudyRecord]) -> ConfusionCounts:
         """Confusion counts of the deployed model on records."""

@@ -102,11 +102,14 @@ class ConfigGrid:
         return cls(lats, bws, scales, baseline=baseline)
 
     def find(self, bw_factor: float, lat_factor: float, machine: MachineConfig) -> int:
-        """Index of the configuration at the given speed factors."""
+        """Index of the configuration at the given network speed factors
+        and the machine's own compute speed."""
         target_lat = machine.latency / lat_factor
         target_bw = machine.bandwidth * bw_factor
         match = np.flatnonzero(
-            np.isclose(self.latency, target_lat) & np.isclose(self.bandwidth, target_bw)
+            np.isclose(self.latency, target_lat)
+            & np.isclose(self.bandwidth, target_bw)
+            & np.isclose(self.compute_scale, machine.compute_scale)
         )
         if match.size == 0:
             raise KeyError(f"no configuration at bw x{bw_factor}, lat x{lat_factor}")

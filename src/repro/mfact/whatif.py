@@ -4,22 +4,24 @@ The paper motivates modeling for *disruptive* design questions — "a
 cluster with a 10x faster network and 100x faster compute" — where the
 design space is too large to simulate point by point.  This module
 wraps MFACT's multi-configuration replay in a small design-space API:
-declare axes (bandwidth, latency, compute speed), explore the whole
-grid in one replay per compute point, and query speedups, bottleneck
-shifts and the cheapest configuration meeting a target.
+declare axes (bandwidth, latency, compute speed), price the whole grid
+in one replay, and query speedups, bottleneck shifts and the cheapest
+configuration meeting a target.
 
-``explore_design_space(analytic=True)`` drops the replays entirely:
-one *recorded* replay builds the max-plus dependency graph
-(:mod:`repro.sensitivity`), and every grid point is priced by tape
-evaluation — zero replays per design point, agreeing with the replayed
-path within the package's documented ``1e-6`` relative band (the
-differential suite asserts ``1e-9`` on the mini-corpus).
+Every axis rides the replay's configuration vector (each point carries
+its own compute scale), and a replay's cost is nearly flat in the
+number of configurations, so one replay of the full Cartesian grid is
+the single pricing path.  The recorded max-plus tape
+(:mod:`repro.sensitivity`) stays the tool for critical paths, tolerance
+thresholds and curves; pricing a grid through it costs a recorded
+replay *plus* the evaluation, which measures 1.2-4.8x slower than the
+plain replay on the benchmark's design-grid traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,17 +115,13 @@ def explore_design_space(
     bandwidth_factors: Sequence[float] = (1.0, 2.0, 10.0),
     latency_factors: Sequence[float] = (1.0, 2.0, 10.0),
     compute_factors: Sequence[float] = (1.0, 10.0, 100.0),
-    analytic: bool = False,
 ) -> DesignSpaceResult:
     """Price a trace on every (bw, lat, compute) combination.
 
-    Bandwidth and latency axes ride MFACT's vectorized grid, so the cost
-    is one replay *per compute factor* regardless of how many network
-    points are explored.  With ``analytic=True`` a single *recorded*
-    replay prices the whole grid — including the compute axis — by
-    evaluating the max-plus dependency graph (:mod:`repro.sensitivity`);
-    point ordering, the baseline requirement and the result shape are
-    identical to the replayed path.
+    One :class:`LogicalClockReplay` prices the whole grid, compute axis
+    included: points are ordered compute-major, then latency, then
+    bandwidth, and the replay's baseline is the (1, 1, 1) point, which
+    the grid must contain.
     """
     if not all(f > 0 for f in bandwidth_factors):
         raise ValueError("bandwidth factors must be positive")
@@ -131,56 +129,6 @@ def explore_design_space(
         raise ValueError("latency factors must be positive")
     if not all(f > 0 for f in compute_factors):
         raise ValueError("compute factors must be positive")
-    if analytic:
-        return _explore_analytic(
-            trace, machine, bandwidth_factors, latency_factors, compute_factors
-        )
-    points: List[DesignPoint] = []
-    totals: List[float] = []
-    baseline_index = None
-    for cf in compute_factors:
-        lats, bws, scales = [], [], []
-        for lf in latency_factors:
-            for bf in bandwidth_factors:
-                lats.append(machine.latency / lf)
-                bws.append(machine.bandwidth * bf)
-                scales.append(machine.compute_scale / cf)
-        grid = ConfigGrid(lats, bws, scales)
-        report = LogicalClockReplay(trace, machine, grid).run()
-        i = 0
-        for lf in latency_factors:
-            for bf in bandwidth_factors:
-                point = DesignPoint(bf, lf, cf)
-                points.append(point)
-                totals.append(float(report.total_time[i]))
-                if bf == 1.0 and lf == 1.0 and cf == 1.0:
-                    baseline_index = len(points) - 1
-                i += 1
-    if baseline_index is None:
-        raise ValueError(
-            "the design grid must contain the baseline point (all factors 1.0)"
-        )
-    return DesignSpaceResult(
-        machine=machine,
-        points=points,
-        total_time=np.asarray(totals),
-        baseline_index=baseline_index,
-    )
-
-
-def _explore_analytic(
-    trace: TraceSet,
-    machine: MachineConfig,
-    bandwidth_factors: Sequence[float],
-    latency_factors: Sequence[float],
-    compute_factors: Sequence[float],
-) -> DesignSpaceResult:
-    """Zero-replay grid pricing: record once, tape-evaluate every point."""
-    # Imported here: whatif is a mfact module and repro.sensitivity
-    # builds on mfact's replay, so a top-level import would be cyclic.
-    from repro.sensitivity.analysis import record_graph
-
-    graph, _ = record_graph(trace, machine)
     points: List[DesignPoint] = []
     lats: List[float] = []
     bws: List[float] = []
@@ -199,10 +147,11 @@ def _explore_analytic(
         raise ValueError(
             "the design grid must contain the baseline point (all factors 1.0)"
         )
-    totals = graph.evaluate(np.asarray(lats), np.asarray(bws), np.asarray(scales))
+    grid = ConfigGrid(lats, bws, scales, baseline=baseline_index)
+    report = LogicalClockReplay(trace, machine, grid).run()
     return DesignSpaceResult(
         machine=machine,
         points=points,
-        total_time=totals,
+        total_time=report.total_time,
         baseline_index=baseline_index,
     )

@@ -100,10 +100,6 @@ def record_graph(
             trace, machine, ConfigGrid.single(machine), recorder=recorder
         ).run()
         graph = recorder.finish()
-    if obs.enabled():
-        obs.counter("repro_sensitivity_graphs_total").inc()
-        obs.counter("repro_sensitivity_nodes_total").inc(graph.n_nodes)
-        obs.counter("repro_sensitivity_edges_total").inc(graph.n_edges)
     return graph, report
 
 

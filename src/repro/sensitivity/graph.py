@@ -440,7 +440,7 @@ class GraphRecorder:
         """Seal the tape: add the terminal node (the application's total
         is the max over every rank's final clock) and freeze the arrays."""
         terminal = self._new_node(-1, tuple(self._clk_edge(r) for r in range(self.nranks)))
-        return DependencyGraph(
+        graph = DependencyGraph(
             pred=np.asarray(self._ep, dtype=np.int64),
             const=np.asarray(self._ec, dtype=float),
             alpha=np.asarray(self._ea, dtype=float),
@@ -451,3 +451,8 @@ class GraphRecorder:
             terminal=terminal,
             baseline=self._baseline,
         )
+        if obs.enabled():
+            obs.counter("repro_sensitivity_graphs_total").inc()
+            obs.counter("repro_sensitivity_nodes_total").inc(graph.n_nodes)
+            obs.counter("repro_sensitivity_edges_total").inc(graph.n_edges)
+        return graph

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     DIFF_THRESHOLD,
     EnhancedMFACT,
@@ -12,12 +13,13 @@ from repro.core import (
     naive_heuristic_success,
     requires_simulation,
 )
-from repro.core.enhanced_mfact import CANDIDATE_NAMES, design_matrix, labels
+from repro.core.enhanced_mfact import CANDIDATE_NAMES, candidate_row, design_matrix, labels
 from repro.core.pipeline import ToolRun
-from repro.machines import CIELITO
+from repro.machines import CIELITO, get_machine
 from repro.trace.features import NUMERIC_FEATURE_NAMES, SENSITIVITY_FEATURE_NAMES
 from repro.util.rng import substream
 from repro.workloads import generate_npb, synthesize_ground_truth
+from repro.workloads.suite import build_trace, mini_corpus_specs
 
 
 class TestDiffTotal:
@@ -200,6 +202,24 @@ class TestEnhancedMFACT:
         enhanced = EnhancedMFACT.train(records, runs=5, seed=0)
         decision = enhanced.predict_trace(trace, CIELITO)
         assert decision in (True, False)
+
+    def test_predict_trace_costs_one_replay(self):
+        trace = generate_npb("CG", 8, CIELITO, seed=3, compute_per_iter=0.002,
+                             ranks_per_node=2)
+        synthesize_ground_truth(trace, CIELITO, seed=3)
+        enhanced = EnhancedMFACT.train(synthetic_corpus(n=100, seed=9), runs=5, seed=0)
+        with obs.collect_task() as reg:
+            enhanced.predict_trace(trace, CIELITO)
+            replays = reg.snapshot().counters["repro_mfact_replays_total"]
+        assert replays == 1
+
+    def test_prediction_row_matches_training_row(self):
+        # Training features come from measure_trace, prediction features
+        # from predict_trace's single replay: they must be the same bits.
+        trace = build_trace(mini_corpus_specs(count=1, nranks=8)[0])
+        record = measure_trace(trace, engines=())
+        row = candidate_row(trace, get_machine(trace.machine))
+        assert np.array_equal(row, design_matrix([record])[0])
 
 
 class TestMeasureTrace:

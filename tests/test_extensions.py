@@ -4,8 +4,11 @@ analysis, multi-job interference, trace compression, trace CLI."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.machines import CIELITO
 from repro.mfact import analyze_bottlenecks, explore_design_space
+from repro.mfact.hockney import ConfigGrid
+from repro.mfact.logical_clock import LogicalClockReplay
 from repro.mfact.whatif import DesignPoint
 from repro.sim import merge_traces, simulate_multijob
 from repro.trace import compress_trace, decompress_trace, write_trace
@@ -81,6 +84,23 @@ class TestDesignSpace:
     def test_rejects_nonpositive_factors(self, comm_trace):
         with pytest.raises(ValueError):
             explore_design_space(comm_trace, CIELITO, bandwidth_factors=(0.0, 1.0))
+
+    def test_one_replay_prices_the_whole_grid(self, comm_trace):
+        with obs.collect_task() as reg:
+            explore_design_space(comm_trace, CIELITO, compute_factors=(1.0, 10.0, 100.0))
+            replays = reg.snapshot().counters["repro_mfact_replays_total"]
+        assert replays == 1
+
+    def test_totals_match_per_compute_factor_replays(self, comm_trace):
+        bw, lat, cpu = (1.0, 2.0, 10.0), (1.0, 2.0, 10.0), (1.0, 10.0, 100.0)
+        result = explore_design_space(comm_trace, CIELITO, bw, lat, cpu)
+        expected = []
+        for cf in cpu:
+            lats = [CIELITO.latency / lf for lf in lat for _ in bw]
+            bws = [CIELITO.bandwidth * bf for _ in lat for bf in bw]
+            grid = ConfigGrid(lats, bws, [CIELITO.compute_scale / cf] * len(lats))
+            expected.append(LogicalClockReplay(comm_trace, CIELITO, grid).run().total_time)
+        assert np.array_equal(result.total_time, np.concatenate(expected))
 
 
 class TestBottleneckAnalysis:

@@ -44,6 +44,15 @@ class TestConfigGrid:
         with pytest.raises(KeyError):
             grid.find(0.125, 1.0, CIELITO)
 
+    def test_find_matches_compute_scale(self):
+        # Same network twice; only the second runs at the machine's own
+        # compute speed, so it is the one at factors (1, 1).
+        scale = CIELITO.compute_scale
+        grid = ConfigGrid(
+            [CIELITO.latency] * 2, [CIELITO.bandwidth] * 2, [2 * scale, scale]
+        )
+        assert grid.find(1.0, 1.0, CIELITO) == 1
+
     def test_lat_factor_slows_latency(self):
         grid = ConfigGrid.sweep(CIELITO, bw_factors=(1.0,), lat_factors=(0.125, 1.0))
         idx = grid.find(1.0, 0.125, CIELITO)

@@ -14,9 +14,9 @@ import pytest
 from repro.core.pipeline import SIM_MODELS, measure_trace
 from repro.machines.presets import get_machine
 from repro.mfact.hockney import ConfigGrid
-from repro.mfact.logical_clock import LogicalClockReplay
-from repro.mfact.whatif import explore_design_space
-from repro.sensitivity import bandwidth_curve, latency_curve, record_graph
+from repro.mfact.logical_clock import LogicalClockReplay, model_trace
+from repro.mfact.whatif import DesignSpaceResult, explore_design_space
+from repro.sensitivity import GraphRecorder, bandwidth_curve, latency_curve, record_graph
 from repro.trace.features import SENSITIVITY_FEATURE_NAMES
 from repro.workloads.suite import build_trace, mini_corpus_specs
 
@@ -37,20 +37,26 @@ def corpus():
     return out
 
 
+def _tape_grid(trace, machine):
+    """Tape-priced totals over the design grid, in explore_design_space's
+    point order (compute-major, then latency, then bandwidth)."""
+    graph, _ = record_graph(trace, machine)
+    cf, lf, bf = np.meshgrid(COMPUTE_FACTORS, LAT_FACTORS, BW_FACTORS, indexing="ij")
+    return graph.evaluate(
+        machine.latency / lf.ravel(),
+        machine.bandwidth * bf.ravel(),
+        machine.compute_scale / cf.ravel(),
+    )
+
+
 class TestAnalyticDesignSpace:
     def test_grid_matches_replayed_path(self, corpus):
         for trace, machine in corpus:
             replayed = explore_design_space(
                 trace, machine, BW_FACTORS, LAT_FACTORS, COMPUTE_FACTORS
             )
-            analytic = explore_design_space(
-                trace, machine, BW_FACTORS, LAT_FACTORS, COMPUTE_FACTORS,
-                analytic=True,
-            )
-            assert analytic.points == replayed.points
-            assert analytic.baseline_index == replayed.baseline_index
             np.testing.assert_allclose(
-                analytic.total_time, replayed.total_time, rtol=REL_BAND
+                _tape_grid(trace, machine), replayed.total_time, rtol=REL_BAND
             )
 
     def test_derived_queries_agree(self, corpus):
@@ -58,9 +64,11 @@ class TestAnalyticDesignSpace:
         replayed = explore_design_space(
             trace, machine, BW_FACTORS, LAT_FACTORS, COMPUTE_FACTORS
         )
-        analytic = explore_design_space(
-            trace, machine, BW_FACTORS, LAT_FACTORS, COMPUTE_FACTORS,
-            analytic=True,
+        analytic = DesignSpaceResult(
+            machine=machine,
+            points=replayed.points,
+            total_time=_tape_grid(trace, machine),
+            baseline_index=replayed.baseline_index,
         )
         assert analytic.best()[0] == replayed.best()[0]
         assert analytic.cheapest_meeting(2.0) == replayed.cheapest_meeting(2.0)
@@ -68,12 +76,10 @@ class TestAnalyticDesignSpace:
             replayed.baseline_time, rel=REL_BAND
         )
 
-    def test_analytic_rejects_gridless_baseline(self, corpus):
+    def test_rejects_gridless_baseline(self, corpus):
         trace, machine = corpus[0]
         with pytest.raises(ValueError, match="baseline"):
-            explore_design_space(
-                trace, machine, (2.0,), (1.0,), (1.0,), analytic=True
-            )
+            explore_design_space(trace, machine, (2.0,), (1.0,), (1.0,))
 
 
 class TestCurveFidelity:
@@ -124,3 +130,15 @@ class TestFeatureStability:
         for record in variants[1:]:
             for name in SENSITIVITY_FEATURE_NAMES:
                 assert record.features[name] == reference[name]
+
+    def test_tape_independent_of_replay_grid(self, corpus):
+        """The recorder's hooks see only trace structure, so the tape
+        recorded on MFACT's default sweep is record_graph's tape."""
+        for trace, machine in corpus:
+            single, _ = record_graph(trace, machine)
+            recorder = GraphRecorder(trace.nranks, machine)
+            model_trace(trace, machine, recorder=recorder)
+            swept = recorder.finish()
+            assert swept.terminal == single.terminal
+            for name in ("pred", "const", "alpha", "nbytes", "compute", "starts", "node_rank"):
+                assert np.array_equal(getattr(swept, name), getattr(single, name)), name
