@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check lint lint-changed lint-baseline test chaos chaos-serve \
+.PHONY: check lint lint-changed lint-baseline test equivalence chaos chaos-serve \
         obs-check bench bench-lint bench-sim bench-sensitivity clean-cache
 
 check: lint test
@@ -29,6 +29,15 @@ lint-baseline:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Identity gates a replay refactor must hold, in well under a minute: golden
+# trace fingerprints, scalar==vectorized engines, tape==replay pricing,
+# byte-exact tracelint reports and cross-tool deadlock agreement.
+equivalence:
+	$(PYTHON) -m pytest -x -q tests/test_golden_traces.py \
+	    tests/test_vectorized_equivalence.py tests/test_sensitivity_differential.py \
+	    tests/test_tracelint.py \
+	    "tests/test_property_based.py::TestReplayProperties::test_tools_agree_on_deadlock"
 
 # Deterministic fault-injection suite: hung/crashed workers, flaky
 # records, cache corruption, quarantine, serial==parallel equivalence.

@@ -30,8 +30,9 @@ Rules
 ``trace/collective-args``
     Same collective sequence but inconsistent root or byte count.
 ``trace/deadlock``
-    Wait-for-graph cycle over blocking ops (abstract, untimed replay of
-    MPI matching semantics; reports the cycle).
+    Wait-for-graph cycle over blocking ops: the shared matching kernel
+    (:mod:`repro.replay`) replays the trace with no time at all, and
+    the ranks it leaves parked induce the graph (reports the cycle).
 ``trace/timestamps``
     Non-monotonic ``t_entry``/``t_exit`` per rank, negative call
     durations, partially stamped streams.
@@ -43,11 +44,11 @@ Rules
 
 from __future__ import annotations
 
-from collections import deque
 from math import isnan
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.replay import MatchingReplay
 from repro.trace.events import Op, OpKind, _ROOTED
 from repro.trace.trace import TraceSet
 
@@ -323,202 +324,76 @@ def check_collective_order(trace: TraceSet) -> Iterator[Diagnostic]:
 # -- deadlock analysis ----------------------------------------------------
 
 
-class _AbstractReplay:
-    """Untimed replay of MPI matching semantics (eager sends).
+def _deadlock_streams(trace: TraceSet) -> Tuple[List[List[Op]], List[List[int]]]:
+    """Each rank's ops minus the ones other rules own, plus each kept
+    op's index in the original stream.
 
-    Runs each rank forward until it blocks on a recv, wait, or
-    collective; completions propagate through FIFO channels exactly as
-    in the timed engines but with no clocks.  If the worklist drains
-    with ranks unfinished, the blocked ops induce a wait-for graph whose
-    cycles are true deadlocks.
+    Dropped: p2p ops on invalid peers (``trace/invalid-peer``), WAITs
+    on requests the rank never issued (``trace/request-discipline``)
+    and collectives outside their communicator
+    (``trace/comm-membership``).  None of them names a rank the caller
+    could wait on, so dropping them keeps every real wait-for edge.
     """
-
-    def __init__(self, trace: TraceSet):
-        self.trace = trace
-        n = trace.nranks
-        self.ip = [0] * n
-        self.blocked: List[Optional[Tuple]] = [None] * n
-        self._avail: Dict[Tuple[int, int, int, int], int] = {}
-        self._slots: Dict[Tuple[int, int, int, int], deque] = {}
-        # req -> ("isend",) | ("pending", src) | ("ready", src)
-        self._requests: List[Dict[int, Tuple]] = [{} for _ in range(n)]
-        self._coll_instance: List[Dict[int, int]] = [dict() for _ in range(n)]
-        self._coll_arrived: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._work: deque = deque(range(n))
-        self._queued = [True] * n
-
-    def _enqueue(self, rank: int) -> None:
-        if not self._queued[rank]:
-            self._queued[rank] = True
-            self._work.append(rank)
-
-    def _deliver(self, key: Tuple[int, int, int, int]) -> None:
-        slots = self._slots.get(key)
-        if slots:
-            kind, rank, req = slots.popleft()
-            if kind == "recv":
-                self.blocked[rank] = None
-                self.ip[rank] += 1
-                self._enqueue(rank)
-            else:
-                self._requests[rank][req] = ("ready", key[0])
-                blk = self.blocked[rank]
-                if blk is not None and blk[0] == "wait" and blk[1] == req:
-                    del self._requests[rank][req]
-                    self.blocked[rank] = None
-                    self.ip[rank] += 1
-                    self._enqueue(rank)
-        else:
-            self._avail[key] = self._avail.get(key, 0) + 1
-
-    def _step(self, rank: int) -> bool:
-        """Execute one op; False when the rank blocks."""
-        op = self.trace.ranks[rank][self.ip[rank]]
-        kind = op.kind
-        n = self.trace.nranks
-        if kind in (OpKind.SEND, OpKind.ISEND):
-            if kind == OpKind.ISEND:
-                self._requests[rank][op.req] = ("isend",)
-            if 0 <= op.peer < n:  # invalid peers are another rule's problem
-                self._deliver((rank, op.peer, op.tag, op.comm))
-        elif kind in (OpKind.RECV, OpKind.IRECV):
-            if 0 <= op.peer < n:
-                key = (op.peer, rank, op.tag, op.comm)
-                have = self._avail.get(key, 0)
-                if have:
-                    self._avail[key] = have - 1
-                    if kind == OpKind.IRECV:
-                        self._requests[rank][op.req] = ("ready", op.peer)
-                elif kind == OpKind.RECV:
-                    self._slots.setdefault(key, deque()).append(("recv", rank, -1))
-                    self.blocked[rank] = ("recv", op.peer, self.ip[rank])
-                    return False
-                else:
-                    self._slots.setdefault(key, deque()).append(("irecv", rank, op.req))
-                    self._requests[rank][op.req] = ("pending", op.peer)
-            elif kind == OpKind.IRECV:
-                self._requests[rank][op.req] = ("ready", op.peer)
-        elif kind == OpKind.WAIT:
-            state = self._requests[rank].get(op.req)
-            if state is not None and state[0] == "pending":
-                self.blocked[rank] = ("wait", op.req, self.ip[rank], state[1])
-                return False
-            if state is not None:
-                del self._requests[rank][op.req]
-            # unknown requests are request-discipline's problem: fall through
-        elif op.is_collective:
-            members = self.trace.comms.get(op.comm)
-            if members is not None and rank in members:
-                inst = self._coll_instance[rank].get(op.comm, 0)
-                ckey = (op.comm, inst)
-                arrived = self._coll_arrived.setdefault(ckey, {})
-                arrived[rank] = self.ip[rank]
-                if len(arrived) < len(members):
-                    self.blocked[rank] = ("coll", ckey, self.ip[rank])
-                    return False
-                del self._coll_arrived[ckey]
-                for r in members:
-                    self._coll_instance[r][op.comm] = inst + 1
-                    if r != rank:
-                        self.blocked[r] = None
-                        self.ip[r] += 1
-                        self._enqueue(r)
-        self.ip[rank] += 1
-        return True
-
-    def run(self) -> List[int]:
-        """Drain the worklist; returns the ranks that never finished."""
-        lengths = [len(s) for s in self.trace.ranks]
-        while self._work:
-            rank = self._work.popleft()
-            self._queued[rank] = False
-            if self.blocked[rank] is not None:
-                continue
-            while self.ip[rank] < lengths[rank]:
-                if not self._step(rank):
-                    break
-        return [r for r in range(self.trace.nranks) if self.ip[r] < lengths[r]]
-
-    def waits_on(self, rank: int) -> Tuple[int, ...]:
-        """Ranks whose progress would unblock ``rank``."""
-        blk = self.blocked[rank]
-        if blk is None:
-            return ()
-        if blk[0] == "recv":
-            return (blk[1],)
-        if blk[0] == "wait":
-            return (blk[3],)
-        arrived = self._coll_arrived.get(blk[1], {})
-        members = self.trace.comms[blk[1][0]]
-        return tuple(r for r in members if r not in arrived)
-
-
-def _find_cycle(edges: Dict[int, Tuple[int, ...]]) -> Optional[List[int]]:
-    """One cycle in the wait-for digraph, as a rank list, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {r: WHITE for r in edges}
-    for start in edges:
-        if color[start] != WHITE:
-            continue
-        stack: List[Tuple[int, Iterator[int]]] = [(start, iter(edges.get(start, ())))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in edges:
+    n = trace.nranks
+    streams: List[List[Op]] = []
+    where: List[List[int]] = []
+    for rank, stream in enumerate(trace.ranks):
+        kept: List[Op] = []
+        index: List[int] = []
+        live = set()
+        for i, op in enumerate(stream):
+            if op.is_p2p:
+                if not 0 <= op.peer < n:
                     continue
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+                if op.kind in (OpKind.ISEND, OpKind.IRECV):
+                    live.add(op.req)
+            elif op.kind == OpKind.WAIT:
+                if op.req not in live:
+                    continue
+                live.discard(op.req)
+            elif op.is_collective and rank not in trace.comms.get(op.comm, ()):
+                continue
+            kept.append(op)
+            index.append(i)
+        streams.append(kept)
+        where.append(index)
+    return streams, where
 
 
 @_rule
 def check_deadlock(trace: TraceSet) -> Iterator[Diagnostic]:
     """``trace/deadlock``: wait-for-graph cycle analysis over blocking ops."""
-    replay = _AbstractReplay(trace)
-    stuck = replay.run()
+    streams, where = _deadlock_streams(trace)
+    replay = MatchingReplay(trace, streams)
+    stuck = replay.drain()
     if not stuck:
         return
-    edges = {r: replay.waits_on(r) for r in stuck}
-    cycle = _find_cycle(edges)
+    at = {r: where[r][replay.ip[r]] for r in stuck}
+    cycle = replay.wait_for_cycle(stuck)
     if cycle is not None:
-        detail = []
-        for r in cycle:
-            op = trace.ranks[r][replay.ip[r]]
-            detail.append(f"rank {r} blocks at op {replay.ip[r]} ({op.kind.name})")
+        detail = [
+            f"rank {r} blocks at op {at[r]} ({trace.ranks[r][at[r]].kind.name})" for r in cycle
+        ]
         yield Diagnostic(
             "trace/deadlock",
             Severity.ERROR,
             f"wait-for cycle among ranks {cycle}: " + "; ".join(detail),
             rank=cycle[0],
-            op_index=replay.ip[cycle[0]],
+            op_index=at[cycle[0]],
             hint="break the cycle by reordering the blocking ops on one rank",
         )
     for r in stuck[:8]:
         if cycle is not None and r in cycle:
             continue
-        blk = replay.blocked[r]
-        kind = trace.ranks[r][replay.ip[r]].kind.name
+        kind = trace.ranks[r][at[r]].kind.name
         waits = ", ".join(str(w) for w in replay.waits_on(r)) or "nothing"
         yield Diagnostic(
             "trace/deadlock",
             Severity.ERROR,
-            f"rank {r} blocks forever at op {replay.ip[r]} ({kind}), waiting on "
+            f"rank {r} blocks forever at op {at[r]} ({kind}), waiting on "
             f"rank(s) {waits}",
             rank=r,
-            op_index=replay.ip[r],
+            op_index=at[r],
             hint="the peer never posts the matching operation",
         )
     if len(stuck) > 8:

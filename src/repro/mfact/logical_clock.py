@@ -21,21 +21,24 @@ Semantics
   :mod:`repro.collectives.cost_models`; synchronizing collectives
   complete at the member-wise max clock plus the collective cost
 
-Matching follows MPI ordering: per (source, destination, tag) channel,
-sends match posted receives FIFO.
+Message matching, request binding, collective rendezvous and deadlock
+diagnostics come from the shared kernel
+(:class:`repro.replay.MatchingReplay`); this module supplies only the
+clock algebra.  Ranks run in FIFO ready-queue order.
 
 An optional ``recorder`` (duck-typed; see
 :class:`repro.sensitivity.graph.GraphRecorder`) observes every clock
 update through ``on_*`` hooks, turning one replay into a reusable
-max-plus dependency graph for zero-replay sensitivity analytics.  With
+max-plus dependency graph for zero-replay sensitivity analytics.  The
+tape node of each message travels with the message through the
+kernel's channels, next to its availability clocks.  With
 ``recorder=None`` (the default) the hooks cost one predicate per op.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,38 +48,18 @@ from repro.machines.config import MachineConfig
 from repro.mfact.counters import CounterSet
 from repro.mfact.hockney import ConfigGrid
 from repro.mfact.report import MFACTReport
-from repro.trace.events import OpKind
+from repro.replay import MatchingReplay, ReplayDeadlockError
+from repro.trace.events import _SYNC_COLLECTIVES, Op, OpKind
 from repro.trace.trace import TraceSet
 
 __all__ = ["LogicalClockReplay", "model_trace", "ReplayDeadlockError"]
 
-_SYNC_COLLECTIVES = frozenset(
-    {
-        OpKind.BARRIER,
-        OpKind.ALLREDUCE,
-        OpKind.ALLGATHER,
-        OpKind.ALLTOALL,
-        OpKind.REDUCE_SCATTER,
-    }
-)
 
+class LogicalClockReplay(MatchingReplay):
+    """One MFACT replay of a trace on a machine over a configuration grid.
 
-class ReplayDeadlockError(RuntimeError):
-    """Raised when the trace cannot make progress (invalid matching)."""
-
-
-class _Channel:
-    """FIFO matching state for one (src, dst, tag) message channel."""
-
-    __slots__ = ("messages", "slots")
-
-    def __init__(self):
-        self.messages: Deque[np.ndarray] = deque()  # availability clocks
-        self.slots: Deque[Tuple[str, int]] = deque()  # ("recv", rank) | ("irecv", req)
-
-
-class LogicalClockReplay:
-    """One MFACT replay of a trace on a machine over a configuration grid."""
+    A message's payload is ``(availability clocks, recorder node)``.
+    """
 
     def __init__(
         self,
@@ -85,7 +68,7 @@ class LogicalClockReplay:
         grid: Optional[ConfigGrid] = None,
         recorder=None,
     ):
-        self.trace = trace
+        super().__init__(trace)
         self.machine = machine
         self.grid = grid if grid is not None else ConfigGrid.sweep(machine)
         self._rec = recorder
@@ -99,54 +82,63 @@ class LogicalClockReplay:
         self._inj = np.zeros((n, k))  # per-rank outgoing NIC serialization
         self._ej = np.zeros((n, k))  # per-rank incoming NIC serialization
         self.counters = CounterSet(n, k)
-        self._ip = [0] * n
-        self._channels: Dict[Tuple[int, int, int], _Channel] = {}
-        # Per-rank request table:
-        # req id -> ("isend", None, 0) | ("irecv", avail-or-None, nbytes)
-        self._requests: List[Dict[int, Tuple[str, Optional[np.ndarray], int]]] = [
-            {} for _ in range(n)
-        ]
-        self._blocked: List[Optional[Tuple]] = [None] * n  # why a rank is parked
-        # Collective rendezvous: (comm, instance) -> list of (rank, clk snapshot)
-        self._coll_seen: List[int] = [0] * n  # per-rank collective instance counter per comm
-        self._coll_counts: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-        self._coll_instance: List[Dict[int, int]] = [dict() for _ in range(n)]
-        self._runnable: Deque[int] = deque()
-        self._queued = [False] * n
-        self._finished = 0
-        self._coll_messages = 0
 
-    # -- channel helpers -------------------------------------------------
+    # -- point-to-point ------------------------------------------------------
 
-    def _channel(self, src: int, dst: int, tag: int) -> _Channel:
-        key = (src, dst, tag)
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = self._channels[key] = _Channel()
-        return chan
+    def _compute(self, rank: int, op: Op) -> None:
+        work = op.duration * self._scale
+        self.clk[rank] += work
+        self.counters.compute[rank] += work
+        if self._rec is not None:
+            self._rec.on_compute(rank, op.duration)
 
-    def _wake(self, rank: int) -> None:
-        if not self._queued[rank]:
-            self._queued[rank] = True
-            self._runnable.append(rank)
+    def _send(self, rank: int, op: Op):
+        bw_term = op.nbytes * self._inv_bw
+        blocking = op.kind == OpKind.SEND
+        if blocking:
+            # The rank's NIC serializes its outgoing messages; a blocking
+            # send returns once the payload is fully injected.
+            start = self.clk[rank] + self._overhead
+            inj_start = np.maximum(self._inj[rank], start)
+            inj_done = inj_start + bw_term
+            self._inj[rank] = inj_done
+            self.counters.bandwidth[rank] += bw_term
+            self.counters.wait[rank] += inj_start - start
+            self.clk[rank] = inj_done.copy()
+        else:
+            # Injection overlaps with local progress; only overhead is paid.
+            inj_start = np.maximum(self._inj[rank], self.clk[rank] + self._overhead)
+            self._inj[rank] = inj_start + bw_term
+            self.clk[rank] += self._overhead
+        node = None
+        if self._rec is not None:
+            node = self._rec.on_send(rank, op.nbytes, blocking)
+        # Header reaches the receiver one wire latency after injection
+        # starts; the receiver pays the bandwidth term while draining.
+        return inj_start + self._lat, node
 
-    # -- message completion ------------------------------------------------
+    def _post(self, rank: int, op: Op) -> None:
+        """Posting an IRECV, or a WAIT on an ISEND, costs one overhead."""
+        self.clk[rank] += self._overhead
+        if self._rec is not None:
+            self._rec.on_overhead(rank)
 
-    def _complete_recv(self, rank: int, avail: np.ndarray, nbytes: int, posted: bool) -> None:
+    _sent = _post
+
+    def _recv(self, rank: int, op: Op, rop: Op, msg) -> None:
         """Advance ``rank``'s clock past a message and attribute counters.
 
-        ``avail`` is the fully-injected time at the sender (the Hockney
-        bandwidth term is already inside it); delivery adds the wire
-        latency ``alpha``.  The clock advance is decomposed into the
-        wait / latency / bandwidth counters for sensitivity tracking.
+        ``avail`` is the header-at-receiver time (injection start plus
+        wire latency, added by the sender); the payload then drains
+        serially through the receiving rank's NIC.  The clock advance is
+        decomposed into the wait / latency / bandwidth counters for
+        sensitivity tracking.  The receive's own byte count prices it.
         """
-        o = self._overhead
+        avail, node = msg
+        nbytes = rop.nbytes
         row = self.clk[rank]
-        ready = row + o
+        ready = row + self._overhead
         bw_term = nbytes * self._inv_bw
-        # The payload drains serially through the receiving rank's NIC:
-        # ``avail`` carries the header-at-receiver time (injection start
-        # plus wire latency was added by the sender).
         arrived = np.maximum(avail, self._ej[rank]) + bw_term
         self._ej[rank] = arrived
         new = np.maximum(ready, arrived)
@@ -159,60 +151,15 @@ class LogicalClockReplay:
         c.latency[rank] += lat_part
         c.wait[rank] += wait_part
         self.clk[rank] = new
+        if self._rec is not None:
+            self._rec.on_recv(rank, node, nbytes)
 
-    def _deliver(self, src: int, dst: int, tag: int, avail: np.ndarray, nbytes: int) -> None:
-        """A send became available; match it or queue it."""
-        chan = self._channel(src, dst, tag)
-        if chan.slots:
-            kind, ident = chan.slots.popleft()
-            if kind == "recv":
-                # dst is parked in a blocking recv on this channel.
-                self._complete_recv(dst, avail, nbytes, posted=False)
-                if self._rec is not None:
-                    self._rec.on_recv_complete(dst, src, tag, nbytes)
-                self._blocked[dst] = None
-                self._ip[dst] += 1
-                self._wake(dst)
-            else:  # bound an irecv request
-                nbytes = self._requests[dst][ident][2]
-                self._requests[dst][ident] = ("irecv", avail, nbytes)
-                if self._rec is not None:
-                    self._rec.on_irecv_bind(dst, src, tag, ident)
-                blocked = self._blocked[dst]
-                if blocked is not None and blocked[0] == "wait" and blocked[1] == ident:
-                    self._complete_recv(dst, avail, nbytes, posted=True)
-                    if self._rec is not None:
-                        self._rec.on_wait_complete(dst, ident, nbytes)
-                    del self._requests[dst][ident]
-                    self._blocked[dst] = None
-                    self._ip[dst] += 1
-                    self._wake(dst)
-        else:
-            chan.messages.append(avail)
+    # -- collectives -----------------------------------------------------------
 
-    # -- collectives -------------------------------------------------------
+    def _arrive(self, rank: int, op: Op) -> np.ndarray:
+        return self.clk[rank].copy()
 
-    def _collective_ready(self, rank: int, op) -> bool:
-        """Register arrival; fire the collective when all members arrived."""
-        members = self.trace.comm_ranks(op.comm)
-        inst = self._coll_instance[rank].get(op.comm, 0)
-        key = (op.comm, inst)
-        arrived = self._coll_counts.setdefault(key, {})
-        arrived[rank] = self.clk[rank].copy()
-        if len(arrived) < len(members):
-            self._blocked[rank] = ("coll", key)
-            return False
-        self._fire_collective(op, members, arrived)
-        del self._coll_counts[key]
-        for r in members:
-            self._coll_instance[r][op.comm] = inst + 1
-            self._blocked[r] = None
-            self._ip[r] += 1
-            if r != rank:
-                self._wake(r)
-        return True
-
-    def _fire_collective(self, op, members, arrived: Dict[int, np.ndarray]) -> None:
+    def _collective(self, op: Op, members: Tuple[int, ...], arrived: Dict[int, np.ndarray]) -> None:
         p = len(members)
         cost = collective_cost(op.kind, p, op.nbytes)
         o = self._overhead
@@ -220,7 +167,6 @@ class LogicalClockReplay:
         bw_share = cost.bytes_on_wire * self._inv_bw
         total = lat_share + bw_share
         c = self.counters
-        self._coll_messages += 1
         if self._rec is not None:
             self._rec.on_collective(
                 op.kind, members, op.peer, op.nbytes, cost.alpha_count, cost.bytes_on_wire
@@ -275,165 +221,18 @@ class LogicalClockReplay:
                 c.bandwidth[r] += op.nbytes * self._inv_bw
             self.clk[r] = done
 
-    # -- diagnostics ---------------------------------------------------------
-
-    def _deadlock_message(self, stuck: List[int]) -> str:
-        """Actionable deadlock diagnostic: why each stuck rank is parked,
-        plus the oldest unmatched ``(src, dst, tag)`` channel.
-
-        Channels are reported in first-use order (``self._channels`` is
-        insertion-ordered), so "oldest" is the channel that entered the
-        matching state machine earliest — usually the root mismatch.
-        """
-        reasons = []
-        for r in stuck[:8]:
-            why = self._blocked[r]
-            if why is None:
-                reasons.append(f"rank {r} runnable but unfinished")
-            elif why[0] == "recv":
-                src, dst, tag = why[1]
-                reasons.append(
-                    f"rank {r} in blocking recv on channel (src={src}, dst={dst}, tag={tag})"
-                )
-            elif why[0] == "wait":
-                reasons.append(f"rank {r} waiting on request {why[1]}")
-            else:  # collective rendezvous
-                reasons.append(f"rank {r} at collective rendezvous on comm {why[1][0]}")
-        oldest = ""
-        for (src, dst, tag), chan in self._channels.items():
-            if chan.messages or chan.slots:
-                oldest = (
-                    f"; oldest unmatched channel (src={src}, dst={dst}, tag={tag}): "
-                    f"{len(chan.messages)} queued send(s), "
-                    f"{len(chan.slots)} posted receive(s)"
-                )
-                break
-        return (
-            f"replay of {self.trace.name} deadlocked with ranks {stuck[:8]} blocked: "
-            + "; ".join(reasons)
-            + oldest
-        )
-
     # -- main loop -----------------------------------------------------------
-
-    def _step(self, rank: int) -> bool:
-        """Execute ``rank``'s next op; return False if the rank blocked."""
-        ops = self.trace.ranks[rank]
-        op = ops[self._ip[rank]]
-        kind = op.kind
-        o = self._overhead
-        if kind == OpKind.COMPUTE:
-            work = op.duration * self._scale
-            self.clk[rank] += work
-            self.counters.compute[rank] += work
-            if self._rec is not None:
-                self._rec.on_compute(rank, op.duration)
-        elif kind == OpKind.SEND:
-            # The rank's NIC serializes its outgoing messages; a blocking
-            # send returns once the payload is fully injected.
-            bw_term = op.nbytes * self._inv_bw
-            start = self.clk[rank] + o
-            inj_start = np.maximum(self._inj[rank], start)
-            inj_done = inj_start + bw_term
-            self._inj[rank] = inj_done
-            self.counters.bandwidth[rank] += bw_term
-            self.counters.wait[rank] += inj_start - start
-            self.clk[rank] = inj_done.copy()
-            if self._rec is not None:
-                self._rec.on_send(rank, op.peer, op.tag, op.nbytes, blocking=True)
-            # Header reaches the receiver one wire latency after injection
-            # starts; the receiver pays the bandwidth term while draining.
-            self._deliver(rank, op.peer, op.tag, inj_start + self._lat, op.nbytes)
-        elif kind == OpKind.ISEND:
-            # Injection overlaps with local progress; only overhead is paid.
-            bw_term = op.nbytes * self._inv_bw
-            inj_start = np.maximum(self._inj[rank], self.clk[rank] + o)
-            self._inj[rank] = inj_start + bw_term
-            self.clk[rank] += o
-            self._requests[rank][op.req] = ("isend", None, 0)
-            if self._rec is not None:
-                self._rec.on_send(rank, op.peer, op.tag, op.nbytes, blocking=False)
-            self._deliver(rank, op.peer, op.tag, inj_start + self._lat, op.nbytes)
-        elif kind == OpKind.RECV:
-            chan = self._channel(op.peer, rank, op.tag)
-            if chan.messages:
-                avail = chan.messages.popleft()
-                self._complete_recv(rank, avail, op.nbytes, posted=False)
-                if self._rec is not None:
-                    self._rec.on_recv_complete(rank, op.peer, op.tag, op.nbytes)
-            else:
-                chan.slots.append(("recv", rank))
-                self._blocked[rank] = ("recv", (op.peer, rank, op.tag))
-                return False
-        elif kind == OpKind.IRECV:
-            self.clk[rank] += o
-            if self._rec is not None:
-                self._rec.on_overhead(rank)
-            chan = self._channel(op.peer, rank, op.tag)
-            if chan.messages:
-                avail = chan.messages.popleft()
-                self._requests[rank][op.req] = ("irecv", avail, op.nbytes)
-                if self._rec is not None:
-                    self._rec.on_irecv_bind(rank, op.peer, op.tag, op.req)
-            else:
-                chan.slots.append(("irecv", op.req))
-                self._requests[rank][op.req] = ("irecv", None, op.nbytes)
-        elif kind == OpKind.WAIT:
-            entry = self._requests[rank].get(op.req)
-            if entry is None:
-                raise ReplayDeadlockError(
-                    f"rank {rank} waits on unknown request {op.req} in {self.trace.name}"
-                )
-            state, avail, nbytes = entry
-            if state == "isend":
-                self.clk[rank] += o
-                if self._rec is not None:
-                    self._rec.on_overhead(rank)
-                del self._requests[rank][op.req]
-            elif avail is not None:
-                self._complete_recv(rank, avail, nbytes, posted=True)
-                if self._rec is not None:
-                    self._rec.on_wait_complete(rank, op.req, nbytes)
-                del self._requests[rank][op.req]
-            else:
-                self._blocked[rank] = ("wait", op.req)
-                return False
-        elif op.is_collective:
-            return self._collective_ready(rank, op)
-        else:  # pragma: no cover - OpKind is closed
-            raise ValueError(f"unhandled op kind {kind!r}")
-        self._ip[rank] += 1
-        return True
 
     def run(self) -> MFACTReport:
         """Replay the whole trace and assemble the report."""
         with obs.span("mfact"):
             start = time.perf_counter()
-            n = self.trace.nranks
-            lengths = [len(ops) for ops in self.trace.ranks]
-            steps = 0
             with obs.span("replay"):
-                for rank in range(n):
-                    self._wake(rank)
-                done = [False] * n
-                remaining = n
-                while self._runnable:
-                    rank = self._runnable.popleft()
-                    self._queued[rank] = False
-                    if done[rank] or self._blocked[rank] is not None:
-                        continue
-                    while self._ip[rank] < lengths[rank]:
-                        steps += 1
-                        if not self._step(rank):
-                            break
-                    if self._ip[rank] >= lengths[rank] and not done[rank]:
-                        done[rank] = True
-                        remaining -= 1
-                if remaining:
-                    stuck = [r for r in range(n) if not done[r]]
-                    raise ReplayDeadlockError(self._deadlock_message(stuck))
+                stuck = self.drain()
+                if stuck:
+                    raise self.deadlock_error(stuck)
             if obs.enabled():
-                obs.counter("repro_mfact_steps_total").inc(steps)
+                obs.counter("repro_mfact_steps_total").inc(self.steps)
                 obs.counter("repro_mfact_replays_total").inc()
             walltime = time.perf_counter() - start
             with obs.span("report"):

@@ -30,38 +30,26 @@ by a few ulps per op (see the package docstring's accuracy contract):
   instead of materializing a node each;
 * the replay's ``max(a, b) + c`` is recorded as ``max(a + c, b + c)``.
 
-The recorder keeps its own per-``(src, dst, tag)`` token FIFOs and its
-own request table, mirroring the replay's matching: the replay consumes
-messages per channel strictly FIFO, so popping the recorder's deque at
-binding time pairs each completion with the right send's availability
-node without sharing any state with the replay.
+The recorder keeps no matching state of its own: ``on_send`` returns
+the message's availability node, the replay carries it inside the
+message payload through the shared matching kernel
+(:mod:`repro.replay`), and ``on_recv`` receives it back at the
+completion that message satisfies.  So the tape's happens-before edges
+are exactly the replay's own matching.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.machines.config import MachineConfig
-from repro.trace.events import OpKind
+from repro.trace.events import _SYNC_COLLECTIVES, OpKind
 
 __all__ = ["CriticalPath", "DependencyGraph", "GraphRecorder"]
-
-#: Collectives where every member completes at the shared rendezvous
-#: time (mirrors the replay's ``_SYNC_COLLECTIVES``).
-_SYNC_COLLECTIVES = frozenset(
-    {
-        OpKind.BARRIER,
-        OpKind.ALLREDUCE,
-        OpKind.ALLGATHER,
-        OpKind.ALLTOALL,
-        OpKind.REDUCE_SCATTER,
-    }
-)
 
 #: Configs per evaluation chunk are sized so one value matrix stays
 #: around 32 MB regardless of graph size.
@@ -312,8 +300,6 @@ class GraphRecorder:
         self._ej = [epoch] * self.nranks
         self._pend_const = [0.0] * self.nranks
         self._pend_comp = [0.0] * self.nranks
-        self._chan: Dict[Tuple[int, int, int], Deque[int]] = {}
-        self._req: List[Dict[int, int]] = [dict() for _ in range(self.nranks)]
 
     # -- node construction -------------------------------------------------
 
@@ -354,7 +340,9 @@ class GraphRecorder:
     def on_overhead(self, rank: int) -> None:
         self._pend_const[rank] += self._o
 
-    def on_send(self, rank: int, dst: int, tag: int, nbytes: int, blocking: bool) -> None:
+    def on_send(self, rank: int, nbytes: int, blocking: bool) -> int:
+        """Record a send; returns the message's availability node, which
+        the replay hands back to :meth:`on_recv` with the message."""
         b = float(nbytes)
         inj_start = self._new_node(
             rank,
@@ -363,13 +351,15 @@ class GraphRecorder:
         inj_done = self._new_node(rank, ((inj_start, 0.0, 0.0, b, 0.0),))
         self._inj[rank] = inj_done
         avail = self._new_node(rank, ((inj_start, 0.0, 1.0, 0.0, 0.0),))
-        self._chan.setdefault((rank, dst, tag), deque()).append(avail)
         if blocking:
             self._set_clk(rank, inj_done)
         else:
             self._pend_const[rank] += self._o
+        return avail
 
-    def _finish_recv(self, rank: int, avail: int, nbytes: int) -> None:
+    def on_recv(self, rank: int, avail: int, nbytes: int) -> None:
+        """A receive on ``rank`` completed with the message whose
+        availability node is ``avail``."""
         b = float(nbytes)
         arrived = self._new_node(
             rank,
@@ -381,15 +371,6 @@ class GraphRecorder:
             (self._clk_edge(rank, const=self._o), (arrived, 0.0, 0.0, 0.0, 0.0)),
         )
         self._set_clk(rank, done)
-
-    def on_recv_complete(self, rank: int, src: int, tag: int, nbytes: int) -> None:
-        self._finish_recv(rank, self._chan[(src, rank, tag)].popleft(), nbytes)
-
-    def on_irecv_bind(self, rank: int, src: int, tag: int, req: int) -> None:
-        self._req[rank][req] = self._chan[(src, rank, tag)].popleft()
-
-    def on_wait_complete(self, rank: int, req: int, nbytes: int) -> None:
-        self._finish_recv(rank, self._req[rank].pop(req), nbytes)
 
     def on_collective(
         self,

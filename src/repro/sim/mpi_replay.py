@@ -10,6 +10,12 @@ layer performs before handing traffic to its congestion model.
 Per-rank communication time (time spent inside MPI calls) is
 accumulated so simulated total *and* communication time can be compared
 with MFACT's counters.
+
+Matching follows the same rules as the shared kernel
+(:mod:`repro.replay`): FIFO channels keyed by the MPI envelope
+``(src, dst, tag, comm)``.  :class:`SimReplay` still carries its own
+copy of them, inlined into the event-driven dispatch loops; the
+cross-tool deadlock property test holds the two copies together.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.collectives.algorithms import schedule_collective
 from repro.machines.config import MachineConfig
+from repro.replay import ReplayDeadlockError, oldest_unmatched
 from repro.sim import modes
 from repro.sim.engine import DEFAULT_MAX_EVENTS, EventEngine
 from repro.util.budget import Budget
@@ -134,9 +141,9 @@ def compile_streams(trace: TraceSet, machine: MachineConfig) -> List[List[Tuple]
     ``__slots__`` object:
 
     - COMPUTE: ``(kind, work)``
-    - SEND/ISEND: ``(kind, peer, nbytes, tag, req, inject)``
-    - RECV: ``(kind, peer, tag)``
-    - IRECV: ``(kind, peer, tag, req)``
+    - SEND/ISEND: ``(kind, peer, nbytes, tag, req, inject, comm)``
+    - RECV: ``(kind, peer, tag, comm)``
+    - IRECV: ``(kind, peer, tag, req, comm)``
     - WAIT: ``(kind, req)``
 
     The machine-dependent floats are pre-baked: the scaled work
@@ -157,13 +164,13 @@ def compile_streams(trace: TraceSet, machine: MachineConfig) -> List[List[Tuple]
             if kind == _K_COMPUTE:
                 entry = (kind, op.duration * scale)
             elif kind == _K_SEND:
-                entry = (kind, op.peer, op.nbytes, op.tag, op.req, op.nbytes / inj)
+                entry = (kind, op.peer, op.nbytes, op.tag, op.req, op.nbytes / inj, op.comm)
             elif kind == _K_ISEND:
-                entry = (kind, op.peer, op.nbytes, op.tag, op.req, 0.0)
+                entry = (kind, op.peer, op.nbytes, op.tag, op.req, 0.0, op.comm)
             elif kind == _K_RECV:
-                entry = (kind, op.peer, op.tag)
+                entry = (kind, op.peer, op.tag, op.comm)
             elif kind == _K_IRECV:
-                entry = (kind, op.peer, op.tag, op.req)
+                entry = (kind, op.peer, op.tag, op.req, op.comm)
             else:
                 entry = (kind, op.req)
             compiled.append(entry)
@@ -236,7 +243,8 @@ class SimReplay:
         self.comm_time = [0.0] * n
         self.compute_time = [0.0] * n
         self._ip = [0] * n
-        self._channels: Dict[Tuple[int, int, int], _SimChannel] = {}
+        # MPI envelope (src, dst, tag, comm) -> FIFO matching state.
+        self._channels: Dict[Tuple[int, int, int, int], _SimChannel] = {}
         # req id -> ("isend", None) | ("irecv", delivery-time-or-None)
         self._requests: List[Dict[int, Tuple[str, Optional[float]]]] = [{} for _ in range(n)]
         self._blocked_at: List[float] = [0.0] * n  # virtual time a block began
@@ -264,21 +272,21 @@ class SimReplay:
 
     # -- helpers -----------------------------------------------------------
 
-    def _channel(self, src: int, dst: int, tag: int) -> _SimChannel:
-        key = (src, dst, tag)
+    def _channel(self, src: int, dst: int, tag: int, comm: int) -> _SimChannel:
+        key = (src, dst, tag, comm)
         chan = self._channels.get(key)
         if chan is None:
             chan = self._channels[key] = _SimChannel()
         return chan
 
-    def _deliver(self, src: int, dst: int, tag: int, when: float) -> None:
+    def _deliver(self, src: int, dst: int, tag: int, comm: int, when: float) -> None:
         # Hot path shared by both engine modes: the channel lookup is
         # inlined (no _channel call) and the ``max`` builtins are spelled
         # as branches — ``clk[dst] if clk[dst] >= when else when`` picks
         # the same value ``max`` would, and the waited-time clamp skips
         # zero adds (``waited`` is ``+0.0`` when the rank never waited,
         # and ``x + 0.0 == x`` bitwise for the non-negative tallies).
-        key = (src, dst, tag)
+        key = (src, dst, tag, comm)
         chan = self._channels.get(key)
         if chan is None:
             chan = self._channels[key] = _SimChannel()
@@ -371,11 +379,11 @@ class SimReplay:
                 else:
                     c = start
                     requests[op[4]] = ("isend", None)
-                transfer(rank, peer, op[2], start, partial(deliver, rank, peer, op[3]))
+                transfer(rank, peer, op[2], start, partial(deliver, rank, peer, op[3], op[6]))
             elif kind == _K_RECV:
                 ct += o
                 c += o
-                key = (op[1], rank, op[2])
+                key = (op[1], rank, op[2], op[3])
                 chan = channels.get(key)
                 if chan is None:
                     chan = channels[key] = _SimChannel()
@@ -396,7 +404,7 @@ class SimReplay:
             elif kind == _K_IRECV:
                 ct += o
                 c += o
-                key = (op[1], rank, op[2])
+                key = (op[1], rank, op[2], op[4])
                 chan = channels.get(key)
                 if chan is None:
                     chan = channels[key] = _SimChannel()
@@ -470,18 +478,18 @@ class SimReplay:
                 else:
                     self.clk[rank] = start
                     self._requests[rank][op.req] = ("isend", None)
-                src, dst, tag, nbytes = rank, op.peer, op.tag, op.nbytes
+                src, dst, tag, comm, nbytes = rank, op.peer, op.tag, op.comm, op.nbytes
                 self.model.transfer(
                     src,
                     dst,
                     nbytes,
                     start,
-                    lambda when, s=src, d=dst, t=tag: self._deliver(s, d, t, when),
+                    lambda when, s=src, d=dst, t=tag, c=comm: self._deliver(s, d, t, c, when),
                 )
             elif kind == OpKind.RECV:
                 self.comm_time[rank] += o
                 self.clk[rank] += o
-                chan = self._channel(op.peer, rank, op.tag)
+                chan = self._channel(op.peer, rank, op.tag, op.comm)
                 if chan.deliveries:
                     when = chan.deliveries.popleft()
                     if when > self.clk[rank]:
@@ -497,7 +505,7 @@ class SimReplay:
             elif kind == OpKind.IRECV:
                 self.comm_time[rank] += o
                 self.clk[rank] += o
-                chan = self._channel(op.peer, rank, op.tag)
+                chan = self._channel(op.peer, rank, op.tag, op.comm)
                 if chan.deliveries:
                     self._requests[rank][op.req] = ("irecv", chan.deliveries.popleft())
                 else:
@@ -554,8 +562,12 @@ class SimReplay:
         )
         if not all(self._done):
             stuck = [r for r, d in enumerate(self._done) if not d]
-            raise RuntimeError(
+            oldest = oldest_unmatched(
+                (key, chan.deliveries, chan.slots) for key, chan in self._channels.items()
+            )
+            raise ReplayDeadlockError(
                 f"simulation of {self.trace.name} deadlocked; blocked ranks {stuck[:8]}"
+                + (f"; {oldest}" if oldest else "")
             )
         walltime = time.perf_counter() - wall_start
         n = self.original.nranks

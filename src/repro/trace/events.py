@@ -63,6 +63,19 @@ COLLECTIVE_KINDS = frozenset(
 
 _ROOTED = frozenset({OpKind.BCAST, OpKind.REDUCE, OpKind.GATHER, OpKind.SCATTER})
 
+#: Collectives where every member completes at the shared rendezvous
+#: time (the rest are rooted: BCAST/SCATTER fan out from the root,
+#: REDUCE/GATHER converge on it).
+_SYNC_COLLECTIVES = frozenset(
+    {
+        OpKind.BARRIER,
+        OpKind.ALLREDUCE,
+        OpKind.ALLGATHER,
+        OpKind.ALLTOALL,
+        OpKind.REDUCE_SCATTER,
+    }
+)
+
 
 class Op:
     """One trace record.

@@ -155,13 +155,13 @@ class TraceSet:
 
         Verifies that (1) every ISEND/IRECV request is waited exactly
         once and requests are unique per rank, (2) p2p traffic matches:
-        for every (src, dst, tag) the send count, and the per-position
-        byte counts, equal the receive count posted at ``dst`` for
-        ``src``, and (3) all ranks of a communicator issue the same
-        sequence of collectives with consistent parameters.
+        for every MPI envelope (src, dst, tag, comm) the send count, and
+        the per-position byte counts, equal the receive count posted at
+        ``dst`` for ``src``, and (3) all ranks of a communicator issue
+        the same sequence of collectives with consistent parameters.
         """
-        sends: Dict[Tuple[int, int, int], List[int]] = {}
-        recvs: Dict[Tuple[int, int, int], List[int]] = {}
+        sends: Dict[Tuple[int, int, int, int], List[int]] = {}
+        recvs: Dict[Tuple[int, int, int, int], List[int]] = {}
         coll_seq: Dict[int, Dict[int, List[Tuple]]] = {}
         for rank, stream in enumerate(self.ranks):
             pending: Dict[int, OpKind] = {}
@@ -180,10 +180,10 @@ class TraceSet:
                     del pending[op.req]
                 if op.is_send_like:
                     check_rank(op.peer, self.nranks, "send peer")
-                    sends.setdefault((rank, op.peer, op.tag), []).append(op.nbytes)
+                    sends.setdefault((rank, op.peer, op.tag, op.comm), []).append(op.nbytes)
                 elif op.is_recv_like:
                     check_rank(op.peer, self.nranks, "recv peer")
-                    recvs.setdefault((op.peer, rank, op.tag), []).append(op.nbytes)
+                    recvs.setdefault((op.peer, rank, op.tag, op.comm), []).append(op.nbytes)
                 elif op.is_collective:
                     members = self.comm_ranks(op.comm)
                     if rank not in members:

@@ -53,6 +53,7 @@ MEASUREMENT_STACK = (
     "collectives",
     "machines",
     "mfact",
+    "replay.py",
     "sensitivity",
     "sim",
     "topology",
@@ -69,12 +70,13 @@ MEASUREMENT_STACK = (
 ANALYSIS_STACK = ("analysis",)
 
 #: Sources that determine what trace a :class:`TraceSpec` builds into —
-#: the generators plus the seeded RNG machinery they draw from.  Hashed
+#: the generators, the seeded RNG machinery they draw from and the
+#: matching kernel ground-truth synthesis replays on.  Hashed
 #: by :func:`workloads_code_version` for the executor's spec-level
 #: cache index: editing any of these invalidates the index (forcing a
 #: rebuild-and-fingerprint pass), while records of traces that come
 #: out unchanged still hit the fingerprint-keyed layer.
-WORKLOADS_STACK = ("workloads", "util/rng.py")
+WORKLOADS_STACK = ("replay.py", "workloads", "util/rng.py")
 
 
 def _hash_sources(entries) -> str:

@@ -19,20 +19,24 @@ effects **neither tool fully models** and stamps every op's
 The net effect reproduces Section V-C's observation: both tools predict
 *below* the measured time, with the simulator closer (it models the
 contention part) and MFACT lower still.
+
+Message matching and progress come from the shared kernel
+(:class:`repro.replay.MatchingReplay`); this module supplies scalar
+clocks, route queueing and the ``t_entry``/``t_exit`` stamps.  Ranks
+run lowest-clock-first (see :meth:`GroundTruthSynthesizer._wake`).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.collectives.cost_models import collective_cost
 from repro.machines.config import MachineConfig
+from repro.replay import MatchingReplay
 from repro.sim.network import Fabric
-from repro.trace.events import Op, OpKind
+from repro.trace.events import _SYNC_COLLECTIVES, Op, OpKind
 from repro.trace.trace import TraceSet
 from repro.util.rng import substream
 
@@ -43,19 +47,12 @@ __all__ = [
     "DEFECT_KINDS",
 ]
 
-_SYNC_COLLECTIVES = frozenset(
-    {
-        OpKind.BARRIER,
-        OpKind.ALLREDUCE,
-        OpKind.ALLGATHER,
-        OpKind.ALLTOALL,
-        OpKind.REDUCE_SCATTER,
-    }
-)
 
+class GroundTruthSynthesizer(MatchingReplay):
+    """Stamps measured timestamps onto a generated trace, in place.
 
-class GroundTruthSynthesizer:
-    """Stamps measured timestamps onto a generated trace, in place."""
+    A message's payload is ``(availability time, sent bytes)``.
+    """
 
     #: Multiplier on the machine's modeled per-call software overhead.
     OVERHEAD_FACTOR = 4.0
@@ -68,7 +65,7 @@ class GroundTruthSynthesizer:
     COMPUTE_NOISE = 0.02
 
     def __init__(self, trace: TraceSet, machine: MachineConfig, seed: int):
-        self.trace = trace
+        super().__init__(trace)
         self.machine = machine
         rng = substream(seed, "ground-truth", trace.name)
         self.rng = rng
@@ -79,18 +76,7 @@ class GroundTruthSynthesizer:
         self._inj = [0.0] * n
         self._ej = [0.0] * n
         self._free = np.zeros(self.fabric.nresources)
-        self._ip = [0] * n
-        self._channels: Dict[Tuple[int, int, int], "_Chan"] = {}
-        self._requests: List[Dict[int, Tuple[Optional[float], int, object]]] = [
-            {} for _ in range(n)
-        ]
-        self._blocked: List[Optional[Tuple]] = [None] * n
-        self._block_entry: List[float] = [0.0] * n
-        self._coll_counts: Dict[Tuple[int, int], Dict[int, float]] = {}
-        self._coll_ops: Dict[Tuple[int, int], Dict[int, object]] = {}
-        self._coll_instance: List[Dict[int, int]] = [dict() for _ in range(n)]
-        self._runnable: List[Tuple[float, int]] = []
-        self._queued = [False] * n
+        self._ready = []  # heap of (clock when queued, rank)
         self._overhead = machine.software_overhead * self.OVERHEAD_FACTOR
         self._inv_bw = self.kappa / machine.bandwidth
         self._lat = self.kappa * machine.latency
@@ -111,83 +97,70 @@ class GroundTruthSynthesizer:
                 queue_delay += free[resource] - t
                 t = free[resource]
             free[resource] = t + bw_term
-            t += 0.0
         return inj_start + self.QUEUE_WEIGHT * queue_delay + self._lat
 
-    def _recv_done(self, rank: int, avail: float, nbytes: int, ready: float) -> float:
-        arrived = max(avail, self._ej[rank]) + nbytes * self._inv_bw
-        self._ej[rank] = arrived
-        return max(ready, arrived)
+    # -- scheduling ------------------------------------------------------------
 
-    # -- cooperative scheduler (mirrors the MFACT engine, scalar) -------------
-
-    def _chan(self, src, dst, tag):
-        key = (src, dst, tag)
-        c = self._channels.get(key)
-        if c is None:
-            c = self._channels[key] = _Chan()
-        return c
-
-    def _wake(self, rank):
+    def _wake(self, rank: int) -> None:
         # Ranks are scheduled lowest-clock-first so shared resource state
         # (link free times) is touched in near-virtual-time order; a FIFO
         # here would let one rank race ahead and see messages from its
         # own future, inflating queue delays unboundedly.
         if not self._queued[rank]:
             self._queued[rank] = True
-            heapq.heappush(self._runnable, (self.clk[rank], rank))
+            heapq.heappush(self._ready, (self.clk[rank], rank))
 
-    def _deliver(self, src, dst, tag, avail, nbytes):
-        chan = self._chan(src, dst, tag)
-        if chan.slots:
-            kind, ident = chan.slots.popleft()
-            if kind == "recv":
-                done = self._recv_done(dst, avail, nbytes, self.clk[dst] + self._overhead)
-                op = self._blocked[dst][2]
-                op.t_exit = done
-                self.clk[dst] = done
-                self._blocked[dst] = None
-                self._ip[dst] += 1
-                self._wake(dst)
-            else:
-                entry = self._requests[dst][ident]
-                self._requests[dst][ident] = (avail, nbytes, entry[2])
-                blocked = self._blocked[dst]
-                if blocked is not None and blocked[0] == "wait" and blocked[1] == ident:
-                    done = self._recv_done(dst, avail, nbytes, self.clk[dst] + self._overhead)
-                    op = blocked[2]
-                    op.t_exit = done
-                    self.clk[dst] = done
-                    del self._requests[dst][ident]
-                    self._blocked[dst] = None
-                    self._ip[dst] += 1
-                    self._wake(dst)
-        else:
-            chan.messages.append((avail, nbytes))
+    def _pop(self) -> int:
+        return heapq.heappop(self._ready)[1]
 
-    def _collective_ready(self, rank, op) -> bool:
-        members = self.trace.comm_ranks(op.comm)
-        inst = self._coll_instance[rank].get(op.comm, 0)
-        key = (op.comm, inst)
-        arrived = self._coll_counts.setdefault(key, {})
-        ops = self._coll_ops.setdefault(key, {})
-        arrived[rank] = self.clk[rank]
-        ops[rank] = op
-        if len(arrived) < len(members):
-            self._blocked[rank] = ("coll", key, op)
+    def _step(self, rank: int) -> bool:
+        """Stamp ``t_entry`` and run one op; a rank that overtakes the
+        next-lowest clock in the ready queue yields to it."""
+        self._ops[rank][self.ip[rank]].t_entry = self.clk[rank]
+        if not MatchingReplay._step(self, rank):
             return False
-        self._fire_collective(op, members, arrived, ops)
-        del self._coll_counts[key]
-        del self._coll_ops[key]
-        for r in members:
-            self._coll_instance[r][op.comm] = inst + 1
-            self._blocked[r] = None
-            self._ip[r] += 1
-            if r != rank:
-                self._wake(r)
+        ready = self._ready
+        if ready and self.clk[rank] > ready[0][0]:
+            self._wake(rank)
+            return False
         return True
 
-    def _fire_collective(self, op, members, arrived, ops) -> None:
+    # -- time algebra ------------------------------------------------------------
+
+    def _compute(self, rank: int, op: Op) -> None:
+        noise = 1.0 + abs(self.rng.normal(0.0, self.COMPUTE_NOISE))
+        measured = op.duration * self.machine.compute_scale * noise
+        op.duration = measured
+        self.clk[rank] += measured
+        op.t_exit = self.clk[rank]
+
+    def _send(self, rank: int, op: Op):
+        start = self.clk[rank] + self._overhead
+        avail = self._transfer_avail(rank, op.peer, op.nbytes, start)
+        # A blocking send returns once injected; an ISEND right away.
+        self.clk[rank] = self._inj[rank] if op.kind == OpKind.SEND else start
+        op.t_exit = self.clk[rank]
+        return avail, op.nbytes
+
+    def _post(self, rank: int, op: Op) -> None:
+        """Posting an IRECV, or a WAIT on an ISEND, costs one overhead."""
+        self.clk[rank] += self._overhead
+        op.t_exit = self.clk[rank]
+
+    _sent = _post
+
+    def _recv(self, rank: int, op: Op, rop: Op, msg) -> None:
+        avail, nbytes = msg
+        arrived = max(avail, self._ej[rank]) + nbytes * self._inv_bw
+        self._ej[rank] = arrived
+        done = max(self.clk[rank] + self._overhead, arrived)
+        self.clk[rank] = done
+        op.t_exit = done
+
+    def _arrive(self, rank: int, op: Op) -> float:
+        return self.clk[rank]
+
+    def _collective(self, op, members, arrived) -> None:
         p = len(members)
         cost = collective_cost(op.kind, p, op.nbytes)
         total = self.kappa * cost.time(self.machine.latency, self.machine.bandwidth)
@@ -196,133 +169,28 @@ class GroundTruthSynthesizer:
         total *= 1.0 + 0.02 * np.log2(max(2, p))
         if op.kind in _SYNC_COLLECTIVES:
             peak = max(arrived.values())
-            done = peak + total
-            for r in members:
-                ops[r].t_exit = done
-                self.clk[r] = done
-            return
-        root = op.peer
-        if op.kind in (OpKind.BCAST, OpKind.SCATTER):
-            root_done = arrived[root] + total
-            for r in members:
-                done = root_done if r == root else max(arrived[r] + self._overhead, root_done)
-                ops[r].t_exit = done
-                self.clk[r] = done
-            return
-        peak = max(arrived.values())
-        own = self._lat + op.nbytes * self._inv_bw + self._overhead
+            done = {r: peak + total for r in members}
+        elif op.kind in (OpKind.BCAST, OpKind.SCATTER):
+            root_done = arrived[op.peer] + total
+            done = {
+                r: root_done if r == op.peer else max(arrived[r] + self._overhead, root_done)
+                for r in members
+            }
+        else:
+            peak = max(arrived.values())
+            own = self._lat + op.nbytes * self._inv_bw + self._overhead
+            done = {r: peak + total if r == op.peer else arrived[r] + own for r in members}
+        # Every member is still parked at its own collective op.
         for r in members:
-            done = peak + total if r == root else arrived[r] + own
-            ops[r].t_exit = done
-            self.clk[r] = done
-
-    def _step(self, rank: int) -> bool:
-        op = self.trace.ranks[rank][self._ip[rank]]
-        kind = op.kind
-        o = self._overhead
-        op.t_entry = self.clk[rank]
-        if kind == OpKind.COMPUTE:
-            noise = 1.0 + abs(self.rng.normal(0.0, self.COMPUTE_NOISE))
-            measured = op.duration * self.machine.compute_scale * noise
-            op.duration = measured
-            self.clk[rank] += measured
-            op.t_exit = self.clk[rank]
-        elif kind == OpKind.SEND:
-            start = self.clk[rank] + o
-            avail = self._transfer_avail(rank, op.peer, op.nbytes, start)
-            self.clk[rank] = self._inj[rank]
-            op.t_exit = self.clk[rank]
-            self._deliver(rank, op.peer, op.tag, avail, op.nbytes)
-        elif kind == OpKind.ISEND:
-            start = self.clk[rank] + o
-            avail = self._transfer_avail(rank, op.peer, op.nbytes, start)
-            self.clk[rank] = start
-            op.t_exit = start
-            self._requests[rank][op.req] = (None, 0, "isend")
-            self._deliver(rank, op.peer, op.tag, avail, op.nbytes)
-        elif kind == OpKind.RECV:
-            chan = self._chan(op.peer, rank, op.tag)
-            if chan.messages:
-                avail, nbytes = chan.messages.popleft()
-                done = self._recv_done(rank, avail, nbytes, self.clk[rank] + o)
-                self.clk[rank] = done
-                op.t_exit = done
-            else:
-                chan.slots.append(("recv", rank))
-                self._blocked[rank] = ("recv", None, op)
-                return False
-        elif kind == OpKind.IRECV:
-            self.clk[rank] += o
-            op.t_exit = self.clk[rank]
-            chan = self._chan(op.peer, rank, op.tag)
-            if chan.messages:
-                avail, nbytes = chan.messages.popleft()
-                self._requests[rank][op.req] = (avail, nbytes, "irecv")
-            else:
-                chan.slots.append(("irecv", op.req))
-                self._requests[rank][op.req] = (None, op.nbytes, "irecv")
-        elif kind == OpKind.WAIT:
-            entry = self._requests[rank].get(op.req)
-            if entry is None:
-                raise RuntimeError(f"rank {rank} waits on unknown request {op.req}")
-            avail, nbytes, state = entry
-            if state == "isend":
-                self.clk[rank] += o
-                op.t_exit = self.clk[rank]
-                del self._requests[rank][op.req]
-            elif avail is not None:
-                done = self._recv_done(rank, avail, nbytes, self.clk[rank] + o)
-                self.clk[rank] = done
-                op.t_exit = done
-                del self._requests[rank][op.req]
-            else:
-                self._blocked[rank] = ("wait", op.req, op)
-                return False
-        elif op.is_collective:
-            return self._collective_ready(rank, op)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled op kind {kind!r}")
-        self._ip[rank] += 1
-        return True
+            self._ops[r][self.ip[r]].t_exit = done[r]
+            self.clk[r] = done[r]
 
     def run(self) -> TraceSet:
         """Stamp the trace; returns it for chaining."""
-        n = self.trace.nranks
-        lengths = [len(ops) for ops in self.trace.ranks]
-        for rank in range(n):
-            self._wake(rank)
-        done = [False] * n
-        remaining = n
-        runnable = self._runnable
-        while runnable:
-            _, rank = heapq.heappop(runnable)
-            self._queued[rank] = False
-            if done[rank] or self._blocked[rank] is not None:
-                continue
-            # Execute until this rank blocks, finishes, or overtakes the
-            # next-lowest clock in the ready queue.
-            while self._ip[rank] < lengths[rank]:
-                if not self._step(rank):
-                    break
-                if runnable and self.clk[rank] > runnable[0][0]:
-                    self._wake(rank)
-                    break
-            else:
-                if not done[rank]:
-                    done[rank] = True
-                    remaining -= 1
-        if remaining:
-            stuck = [r for r in range(n) if not done[r]]
-            raise RuntimeError(f"synthesis of {self.trace.name} deadlocked at ranks {stuck[:8]}")
+        stuck = self.drain()
+        if stuck:
+            raise self.deadlock_error(stuck)
         return self.trace
-
-
-class _Chan:
-    __slots__ = ("messages", "slots")
-
-    def __init__(self):
-        self.messages: Deque[Tuple[float, int]] = deque()
-        self.slots: Deque[Tuple[str, int]] = deque()
 
 
 def synthesize_ground_truth(trace: TraceSet, machine: MachineConfig, seed: int) -> TraceSet:

@@ -1,9 +1,12 @@
 """MFACT modeling engine tests: Hockney grid, replay semantics,
 counters, classification."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.analysis import lint_trace
 from repro.machines import CIELITO, EDISON, MachineConfig
 from repro.mfact import (
     AppClass,
@@ -14,8 +17,11 @@ from repro.mfact import (
     model_trace,
 )
 from repro.mfact.classify import bandwidth_sensitivity, latency_sensitivity
+from repro.sim import simulate_trace
+from repro.sim.mpi_replay import ReplayShared
 from repro.trace.events import Op, OpKind, make_compute
-from repro.trace.trace import TraceSet
+from repro.trace.trace import TraceSet, TraceValidationError
+from repro.workloads import synthesize_ground_truth
 
 
 class TestConfigGrid:
@@ -231,6 +237,11 @@ class TestReplaySemantics:
         with pytest.raises(ReplayDeadlockError, match="unknown request"):
             model_trace(TraceSet("t", "T", ranks), CIELITO)
 
+    def test_wait_unknown_request_in_synthesis(self):
+        ranks = [[Op(OpKind.WAIT, req=9)], []]
+        with pytest.raises(ReplayDeadlockError, match="unknown request"):
+            synthesize_ground_truth(TraceSet("t", "T", ranks), CIELITO, 1)
+
     def test_clock_monotone_per_rank(self):
         trace = simple_trace()
         replay = LogicalClockReplay(trace, CIELITO)
@@ -313,3 +324,48 @@ class TestReport:
         rep = model_trace(simple_trace(), CIELITO)
         approx_total = rep.baseline_counters["compute"] + rep.baseline_comm_time
         assert approx_total <= rep.baseline_total_time * 1.6
+
+
+def cross_comm_trace():
+    """Rank 0 sends tag 5 on comm 1; rank 1 receives tag 5 on comm 0."""
+    ranks = [
+        [Op(OpKind.SEND, peer=1, nbytes=64, tag=5, comm=1)],
+        [Op(OpKind.RECV, peer=0, nbytes=64, tag=5, comm=0)],
+    ]
+    return TraceSet("xcomm", "T", ranks, machine="cielito", ranks_per_node=1,
+                    comms={1: (0, 1)})
+
+
+class TestCommunicatorIsPartOfTheEnvelope:
+    """MPI matches on (src, dst, tag, comm): a send on one communicator
+    never satisfies a receive posted on another."""
+
+    RECV_CHANNEL = "rank 1 in blocking recv on channel (src=0, dst=1, tag=5) on comm 0"
+
+    def test_validate_rejects(self):
+        with pytest.raises(TraceValidationError, match="unmatched p2p channels"):
+            cross_comm_trace().validate()
+
+    def test_mfact_deadlocks(self):
+        with pytest.raises(ReplayDeadlockError, match=re.escape(self.RECV_CHANNEL)) as err:
+            model_trace(cross_comm_trace(), CIELITO)
+        assert "oldest unmatched channel (src=0, dst=1, tag=5) on comm 1" in str(err.value)
+
+    def test_synthesis_deadlocks(self):
+        with pytest.raises(ReplayDeadlockError, match=re.escape(self.RECV_CHANNEL)):
+            synthesize_ground_truth(cross_comm_trace(), CIELITO, 1)
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("model", ["packet", "flow", "packet-flow"])
+    def test_engines_deadlock(self, model, compiled):
+        trace = cross_comm_trace()
+        shared = ReplayShared(trace, CIELITO) if compiled else None
+        with pytest.raises(
+            ReplayDeadlockError, match=re.escape("channel (src=0, dst=1, tag=5) on comm 0")
+        ):
+            simulate_trace(trace, CIELITO, model, shared=shared)
+
+    def test_tracelint_reports_mismatch_and_deadlock(self):
+        fired = [d.rule for d in lint_trace(cross_comm_trace()).diagnostics]
+        assert fired.count("trace/unmatched-p2p") == 2
+        assert "trace/deadlock" in fired

@@ -1,22 +1,26 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import lint_trace
 from repro.collectives import collective_cost, schedule_collective
 from repro.machines import CIELITO
-from repro.mfact import ConfigGrid, model_trace
+from repro.mfact import ConfigGrid, ReplayDeadlockError, model_trace
 from repro.sim import simulate_trace
+from repro.sim.mpi_replay import ReplayShared
 from repro.trace.dumpi import dumps, loads
 from repro.trace.events import Op, OpKind, make_compute
 from repro.trace.trace import TraceSet
 from repro.topology import Dragonfly, FatTree, Torus3D
 from repro.util.stats import fraction_within, trimmed_mean
 from repro.util.units import format_time
+from repro.workloads.synthesis import synthesize_ground_truth
 
 COLLECTIVES = [
     OpKind.BARRIER,
@@ -196,7 +200,101 @@ def _ring_trace(n, nbytes, comp):
     return TraceSet("ring", "R", ranks, machine="cielito", ranks_per_node=2)
 
 
+#: Receive envelopes a p2p program draws for each send: mostly the
+#: matching one, so most channels match and ordering alone decides
+#: whether the program deadlocks.
+_RECV_VARIANTS = ("match",) * 7 + ("tag", "comm", "none")
+
+
+@st.composite
+def p2p_programs(draw):
+    """Small point-to-point programs: 2-4 ranks, SEND/ISEND/RECV/IRECV/
+    WAIT/COMPUTE, tags {0, 1}, communicators {0, 1}.
+
+    Every ISEND/IRECV gets a unique request id and exactly one later
+    WAIT.  Ops are placed by drawn sort keys, so program order within a
+    rank is arbitrary.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+    placed = [[] for _ in range(n)]
+    reqs = [0] * n
+
+    def post(rank, kind, key, **fields):
+        if kind in (OpKind.ISEND, OpKind.IRECV):
+            reqs[rank] += 1
+            placed[rank].append((key, len(placed[rank]), Op(kind, req=reqs[rank], **fields)))
+            wait_key = key + draw(st.integers(min_value=0, max_value=3))
+            placed[rank].append((wait_key, len(placed[rank]), Op(OpKind.WAIT, req=reqs[rank])))
+        else:
+            placed[rank].append((key, len(placed[rank]), Op(kind, **fields)))
+
+    keys = st.integers(min_value=0, max_value=6)
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        dst = (src + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        tag = draw(st.sampled_from((0, 1)))
+        comm = draw(st.sampled_from((0, 1)))
+        nbytes = draw(st.sampled_from((8, 4096)))
+        send = draw(st.sampled_from((OpKind.SEND, OpKind.ISEND)))
+        post(src, send, draw(keys), peer=dst, nbytes=nbytes, tag=tag, comm=comm)
+        variant = draw(st.sampled_from(_RECV_VARIANTS))
+        if variant == "none":
+            continue
+        recv = draw(st.sampled_from((OpKind.RECV, OpKind.IRECV)))
+        post(
+            dst,
+            recv,
+            draw(keys),
+            peer=src,
+            nbytes=nbytes,
+            tag=1 - tag if variant == "tag" else tag,
+            comm=1 - comm if variant == "comm" else comm,
+        )
+    for rank in range(n):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            post(rank, OpKind.COMPUTE, draw(keys), duration=1e-6)
+    ranks = [[op for _, _, op in sorted(items, key=lambda t: t[:2])] for items in placed]
+    return TraceSet(
+        "p2p", "P", ranks, machine="cielito", ranks_per_node=2, comms={1: tuple(range(n))}
+    )
+
+
+def _outcome(run, trace):
+    """None if ``run(trace)`` completes, else the stuck ranks its
+    deadlock diagnostic names."""
+    try:
+        run(trace)
+    except ReplayDeadlockError as exc:
+        listed = re.search(r"ranks \[([\d, ]*)\]", str(exc)).group(1)
+        return {int(r) for r in listed.split(",")}
+    return None
+
+
 class TestReplayProperties:
+    @given(trace=p2p_programs())
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tools_agree_on_deadlock(self, trace):
+        """MFACT, ground-truth synthesis, tracelint and the three
+        engines agree on whether a program deadlocks, and MFACT and
+        tracelint name the same stuck ranks.  MFACT, synthesis and
+        tracelint share one matching kernel; the engines keep their own
+        copy of the matching rules, which this guards against drift."""
+        mfact = _outcome(lambda t: model_trace(t, CIELITO, ConfigGrid.single(CIELITO)), trace)
+        diagnostics = [d for d in lint_trace(trace).diagnostics if d.rule == "trace/deadlock"]
+        lint_stuck = {
+            int(r) for d in diagnostics for r in re.findall(r"rank (\d+) blocks", d.message)
+        }
+        assert (mfact is not None) == bool(diagnostics)
+        assert (mfact or set()) == lint_stuck
+        shared = ReplayShared(trace, CIELITO)
+        for model in ("packet", "flow", "packet-flow"):
+            for prep in (None, shared):  # reference and compiled-stream dispatch
+                sim = _outcome(lambda t: simulate_trace(t, CIELITO, model, shared=prep), trace)
+                assert (sim is not None) == (mfact is not None), model
+        # Last: synthesis stamps (mutates) the trace.
+        synthesis = _outcome(lambda t: synthesize_ground_truth(t, CIELITO, 1), trace)
+        assert (synthesis is not None) == (mfact is not None)
+
     @given(trace=ring_trace_strategy())
     @settings(max_examples=15, deadline=None)
     def test_mfact_total_bounds(self, trace):

@@ -3,12 +3,14 @@ degenerate traces (Hypothesis), deadlock diagnostics and the
 ``cheapest_meeting`` boundary regression."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.resilience import classify_failure
 from repro.machines import CIELITO, EDISON
 from repro.mfact import ConfigGrid, ReplayDeadlockError, model_trace
 from repro.mfact.logical_clock import LogicalClockReplay
@@ -218,6 +220,28 @@ class TestDeadlockDiagnostics:
         assert "deadlocked with ranks" in message
         assert "blocking recv on channel (src=" in message
         assert "oldest unmatched channel (src=" in message
+
+    def test_injected_deadlock_names_wait_for_cycle(self):
+        trace = generate_npb("CG", 4, CIELITO, seed=11, compute_per_iter=0.001,
+                             ranks_per_node=2)
+        bad = inject_defect(trace, "deadlock", seed=11)
+        with pytest.raises(ReplayDeadlockError, match="wait-for cycle among ranks"):
+            model_trace(bad, CIELITO)
+
+    def test_synthesis_gives_the_replay_diagnostic(self):
+        trace = generate_npb("CG", 4, CIELITO, seed=11, compute_per_iter=0.001,
+                             ranks_per_node=2)
+        bad = inject_defect(trace, "deadlock", seed=11)
+        with pytest.raises(
+            ReplayDeadlockError, match=re.escape("blocking recv on channel (src=")
+        ) as err:
+            synthesize_ground_truth(bad, CIELITO, 11)
+        message = str(err.value)
+        assert "oldest unmatched channel (src=" in message
+        assert "wait-for cycle among ranks" in message
+        # Still a RuntimeError: the executor fails the record for good.
+        assert isinstance(err.value, RuntimeError)
+        assert classify_failure(err.value) == "permanent"
 
     def test_injected_unmatched_recv_counts_posted_slots(self):
         trace = generate_npb("EP", 2, CIELITO, seed=4, compute_per_iter=0.001,

@@ -1,5 +1,7 @@
 """Tests for the tracelint static analyzer (repro.analysis.lint)."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -93,6 +95,76 @@ class TestDefectInjection:
 
     def test_all_kinds_documented(self):
         assert set(STRUCTURAL_DEFECTS) | {"time-travel"} == set(DEFECT_KINDS)
+
+
+#: SHA-256 of ``json.dumps(lint_trace(...).to_json(), sort_keys=True)``:
+#: the exact messages, op indices and order of every diagnostic.
+#: Structural defects on ``small_trace()``, keyed by (kind, seed).
+DEFECT_REPORT_SHA256 = {
+    ("byte-mismatch", 3): "6ee9c08de5857b6fb7b1137c1ef0b603894a29e0d8d7591b800f0a79966c43e3",
+    ("byte-mismatch", 11): "ff5e08968336aa0c7a2e72f70fe17238c393cdad490c1647ffb25cbd36578729",
+    ("deadlock", 3): "32b3ae2b6457dddf9d807e3b4c36fbc94cd21cb5d2d876191f58e194c0bd0c55",
+    ("deadlock", 11): "67cdc928d4d2355d7b211851e7c852446a50c7c8060a8400c1e2149ad7fff8a9",
+    ("lost-wait", 3): "132d661c2dc9871e810ffaa5c4fc17ac49bcf79cbafcc21b77c705f2d04d4b59",
+    ("lost-wait", 11): "132d661c2dc9871e810ffaa5c4fc17ac49bcf79cbafcc21b77c705f2d04d4b59",
+    ("reordered-collectives", 3): "baedda5a04dee8dd0f808b777fbe37e96bacbdc517bf6a78d0421645546638cb",
+    ("reordered-collectives", 11): "21b6c1a114b75a9f4d7c8bab1dc17e448eff8474071ac486677c3e5884a6cf6d",
+    ("root-divergence", 3): "a6e3665f514d9c9277bf0459543fba2aba6733e157d547830a9dc96411a0134d",
+    ("root-divergence", 11): "6263643199725fefcd2db570e5ea01c3b39b10c5fdf70b83e8724886887afe0f",
+    ("unmatched-recv", 3): "939d55d5df7dbcf923dd7f5cfa56e745f8ee925c8b21899d62bebff7c0b47e8c",
+    ("unmatched-recv", 11): "bfd9ef01c16529e62e41d789cfccb32e6cb76ae69be0f802b59f20d16f4d2414",
+    ("unmatched-send", 3): "f923df66375503ffd2a32b56614362781ad774849d78751f0c4fa28eb6abca56",
+    ("unmatched-send", 11): "2a55a83513d3a44b3560cee8f3638ce5133ed5e3c1498d1d08409a61cf32a3ff",
+}
+
+#: Clean ``small_trace(app)`` of every generator, keyed by app.
+CLEAN_REPORT_SHA256 = {
+    "BT": "d3b1d596981ffdc991668815823d3888c3eb15627445b3e9fdf63a9c31c9f60f",
+    "CG": "cbfe337a510338df67f943d6004cf4d1e5ee19c35b7f0c21da9ad5e9f7909653",
+    "DT": "34e2bb7e06dbdc19e592b2ce4a747eefb9694eb945d602a3aac8c0660171a0c8",
+    "EP": "db6a9e7d2852282b8594ecfd2e0abca7b2b8e1af90265b9124f3eeb02708643b",
+    "FT": "e63bddcf2231ef2d64413d91ced08724b28c485c3e3005813ff6916854c314d0",
+    "IS": "f90bc3ea7a4d101b2635f91fb9f779394bfc37fe8bb984eabcf62a9cde99bb4e",
+    "LU": "e56d32112eb777574c8c17b39e3124e4d4921bd8d9282133d2ef5cb01cac973d",
+    "MG": "94500b96e899994391c737521f51ef24b352075ba0a09ae8fa155475811b54ff",
+    "SP": "e4396b4559c83ebffed8a531ff93c926c9cc143adbd0c9ed6f444a0d5a5fb6c1",
+    "AMG": "dd08f7e56dadb307b21ab7f0bf76c06b0cb3f315ba1ba64fd24a117b1c3839a6",
+    "BIGFFT": "8cafdbb2c5ccfc69f0f76edd654b0750226533e83977823dabb127759925d667",
+    "CMC": "30bcc15210e9090e85b6851bc1a38383524f1e3537c72a41d4e90fdcac794fd9",
+    "CNS": "3c7e6d26e199b10d31c9b98abe00f705e46f1e5d0aa985fc9283feeaa03b60eb",
+    "CR": "26950bf0e061f77ac92e651d7a17b876f63e6c28095f2f7801633d4c45a6bbde",
+    "FB": "3ae031dbc25fe385bd8e47e119db0e1b489f9cd264475bc1638efba906f1349b",
+    "LULESH": "5f80d01b9b0cd062f870f500dc48da4263a567775f47aeea2a9e2c4e7e10fe0d",
+    "MGPROD": "f779fa44b2804218790ff59b31158c50210bbf5e15db3989ea19e9317b549651",
+    "MINIFE": "cf6499a34620e58d378b0369ead253634738f5118e1a84e595b2fd0da3a3bf39",
+    "NEKBONE": "4b3060f8c948a1d7a0a62ac22d2357e54265cfeb367178d13ce939ef9334ba51",
+}
+
+
+def report_sha256(trace) -> str:
+    text = json.dumps(lint_trace(trace).to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestReportPins:
+    """Byte-exact tracelint output, pinned so a refactor of the rules
+    (or of the matching kernel under ``trace/deadlock``) cannot change
+    a message, an op index or the diagnostic order unnoticed."""
+
+    @pytest.mark.parametrize("kind, seed", sorted(DEFECT_REPORT_SHA256))
+    def test_defect_report_is_pinned(self, kind, seed):
+        bad = inject_defect(small_trace(), kind, seed=seed)
+        assert report_sha256(bad) == DEFECT_REPORT_SHA256[(kind, seed)], (
+            lint_trace(bad).render()
+        )
+
+    @pytest.mark.parametrize("app", sorted(CLEAN_REPORT_SHA256))
+    def test_clean_report_is_pinned(self, app):
+        assert report_sha256(small_trace(app)) == CLEAN_REPORT_SHA256[app]
+
+    def test_pins_cover_every_structural_defect_and_generator(self):
+        assert {kind for kind, _ in DEFECT_REPORT_SHA256} == set(STRUCTURAL_DEFECTS)
+        assert set(CLEAN_REPORT_SHA256) == set(NPB_APPS) | set(DOE_APPS)
 
 
 class TestIndividualRules:
