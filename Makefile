@@ -32,12 +32,16 @@ test:
 
 # Identity gates a replay refactor must hold, in well under a minute: golden
 # trace fingerprints, scalar==vectorized engines, tape==replay pricing,
-# byte-exact tracelint reports and cross-tool deadlock agreement.
+# byte-exact tracelint reports, cross-tool deadlock agreement, MPI
+# non-overtaking in the engines and MFACT's placement blindness on a
+# co-located ring.
 equivalence:
 	$(PYTHON) -m pytest -x -q tests/test_golden_traces.py \
 	    tests/test_vectorized_equivalence.py tests/test_sensitivity_differential.py \
 	    tests/test_tracelint.py \
-	    "tests/test_property_based.py::TestReplayProperties::test_tools_agree_on_deadlock"
+	    "tests/test_property_based.py::TestReplayProperties::test_tools_agree_on_deadlock" \
+	    "tests/test_sim_models.py::TestNonOvertaking" \
+	    "tests/test_property_based.py::TestReplayProperties::test_colocated_ring_mfact_ignores_placement"
 
 # Deterministic fault-injection suite: hung/crashed workers, flaky
 # records, cache corruption, quarantine, serial==parallel equivalence.

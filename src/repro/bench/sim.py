@@ -16,8 +16,8 @@ Methodology, chosen for a noisy shared machine:
 * **GC off** during timed passes (re-enabled after), so collection
   pauses don't land inside one mode's timing.
 * **prep measured separately**: the vectorized pipeline's shared
-  per-trace precomputation (collective expansion, fabric, compiled op
-  streams — :class:`~repro.sim.mpi_replay.ReplayShared`) is built once
+  per-trace precomputation (collective expansion and fabric —
+  :class:`~repro.sim.mpi_replay.ReplayShared`) is built once
   and reused across engines and repeats, exactly as the study executor
   shares it across a record's engines.  Its one-time cost is reported
   as ``prep_seconds``, not smeared into any engine's steady-state
@@ -30,7 +30,8 @@ Methodology, chosen for a noisy shared machine:
 The harness runs inside :func:`repro.obs.span` markers (``bench.sim``,
 ``bench.sim.<engine>.<mode>``) so a metrics-enabled invocation can be
 broken down by span; the checked-in artifact is produced with metrics
-off, which also keeps the replay layer on its zero-overhead fast path.
+off, which also keeps per-op dispatch tallies (a timing wrapper around
+each replay step) out of the numbers.
 
 Output schema (``repro.bench.sim/v1``)::
 

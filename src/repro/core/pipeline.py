@@ -157,7 +157,7 @@ def measure_trace(
     default).  Canonical record content is identical either way — the
     differential equivalence suite enforces it — so the choice never
     enters the record cache key.  In vectorized mode the collective
-    expansion, fabric and compiled op streams are built once per record
+    expansion and fabric are built once per record (span ``sim/prep``)
     and shared across all engines instead of once per engine.
     """
     if lint_gate:
@@ -206,7 +206,10 @@ def measure_trace(
     degraded = degraded_from
     vectorized = modes.resolve(sim_vectorized)
     active_engines = [m for m in SIM_MODELS if m in engines]
-    shared = ReplayShared(trace, machine) if vectorized and active_engines else None
+    shared = None
+    if vectorized and active_engines:
+        with obs.span("sim/prep"):
+            shared = ReplayShared(trace, machine)
     for model in active_engines:
         remaining = None
         if wall_deadline is not None:

@@ -58,7 +58,9 @@ __all__ = ["LogicalClockReplay", "model_trace", "ReplayDeadlockError"]
 class LogicalClockReplay(MatchingReplay):
     """One MFACT replay of a trace on a machine over a configuration grid.
 
-    A message's payload is ``(availability clocks, recorder node)``.
+    A message's payload is ``(availability clocks, recorder node, sent
+    bytes, their bandwidth term)``; the receive reuses the term when its
+    own byte count matches.
     """
 
     def __init__(
@@ -82,44 +84,59 @@ class LogicalClockReplay(MatchingReplay):
         self._inj = np.zeros((n, k))  # per-rank outgoing NIC serialization
         self._ej = np.zeros((n, k))  # per-rank incoming NIC serialization
         self.counters = CounterSet(n, k)
+        # The hooks run once per op on rows of K floats, where numpy's
+        # per-call cost dominates: they update per-rank row views in
+        # place and add the overhead as a vector (a Python-float operand
+        # costs a scalar conversion per call).
+        self._o_vec = np.full(k, self._overhead)
+        self._zeros = np.zeros(k)
+        c = self.counters
+        self._clk_rows = list(self.clk)
+        self._inj_rows = list(self._inj)
+        self._ej_rows = list(self._ej)
+        self._compute_rows = list(c.compute)
+        self._lat_rows = list(c.latency)
+        self._bw_rows = list(c.bandwidth)
+        self._wait_rows = list(c.wait)
 
     # -- point-to-point ------------------------------------------------------
 
     def _compute(self, rank: int, op: Op) -> None:
         work = op.duration * self._scale
-        self.clk[rank] += work
-        self.counters.compute[rank] += work
+        self._clk_rows[rank] += work
+        self._compute_rows[rank] += work
         if self._rec is not None:
             self._rec.on_compute(rank, op.duration)
 
     def _send(self, rank: int, op: Op):
         bw_term = op.nbytes * self._inv_bw
+        clk = self._clk_rows[rank]
+        inj = self._inj_rows[rank]
         blocking = op.kind == OpKind.SEND
         if blocking:
             # The rank's NIC serializes its outgoing messages; a blocking
             # send returns once the payload is fully injected.
-            start = self.clk[rank] + self._overhead
-            inj_start = np.maximum(self._inj[rank], start)
-            inj_done = inj_start + bw_term
-            self._inj[rank] = inj_done
-            self.counters.bandwidth[rank] += bw_term
-            self.counters.wait[rank] += inj_start - start
-            self.clk[rank] = inj_done.copy()
+            start = clk + self._o_vec
+            inj_start = np.maximum(inj, start)
+            inj[:] = inj_start + bw_term
+            self._bw_rows[rank] += bw_term
+            self._wait_rows[rank] += inj_start - start
+            clk[:] = inj
         else:
             # Injection overlaps with local progress; only overhead is paid.
-            inj_start = np.maximum(self._inj[rank], self.clk[rank] + self._overhead)
-            self._inj[rank] = inj_start + bw_term
-            self.clk[rank] += self._overhead
+            clk += self._o_vec
+            inj_start = np.maximum(inj, clk)
+            inj[:] = inj_start + bw_term
         node = None
         if self._rec is not None:
             node = self._rec.on_send(rank, op.nbytes, blocking)
         # Header reaches the receiver one wire latency after injection
         # starts; the receiver pays the bandwidth term while draining.
-        return inj_start + self._lat, node
+        return inj_start + self._lat, node, op.nbytes, bw_term
 
     def _post(self, rank: int, op: Op) -> None:
         """Posting an IRECV, or a WAIT on an ISEND, costs one overhead."""
-        self.clk[rank] += self._overhead
+        self._clk_rows[rank] += self._o_vec
         if self._rec is not None:
             self._rec.on_overhead(rank)
 
@@ -134,23 +151,21 @@ class LogicalClockReplay(MatchingReplay):
         decomposed into the wait / latency / bandwidth counters for
         sensitivity tracking.  The receive's own byte count prices it.
         """
-        avail, node = msg
+        avail, node, sent_nbytes, bw_term = msg
         nbytes = rop.nbytes
-        row = self.clk[rank]
-        ready = row + self._overhead
-        bw_term = nbytes * self._inv_bw
-        arrived = np.maximum(avail, self._ej[rank]) + bw_term
-        self._ej[rank] = arrived
-        new = np.maximum(ready, arrived)
-        delta = new - ready
+        if nbytes != sent_nbytes:
+            bw_term = nbytes * self._inv_bw
+        clk = self._clk_rows[rank]
+        ready = clk + self._o_vec
+        arrived = np.maximum(avail, self._ej_rows[rank]) + bw_term
+        self._ej_rows[rank][:] = arrived
+        clk[:] = np.maximum(ready, arrived)
+        delta = clk - ready
         bw_part = np.minimum(delta, bw_term)
-        lat_part = np.clip(delta - bw_term, 0.0, self._lat)
-        wait_part = delta - bw_part - lat_part
-        c = self.counters
-        c.bandwidth[rank] += bw_part
-        c.latency[rank] += lat_part
-        c.wait[rank] += wait_part
-        self.clk[rank] = new
+        lat_part = np.minimum(np.maximum(delta - bw_term, self._zeros), self._lat)
+        self._bw_rows[rank] += bw_part
+        self._lat_rows[rank] += lat_part
+        self._wait_rows[rank] += delta - bw_part - lat_part
         if self._rec is not None:
             self._rec.on_recv(rank, node, nbytes)
 

@@ -7,8 +7,9 @@ here once:
 
 * per-rank instruction pointers and a ready queue of runnable ranks;
 * FIFO channels keyed by the MPI envelope ``(src, dst, tag, comm)``:
-  sends match posted receives in order (eager, buffered sends never
-  block on their receiver);
+  sends match posted receives in send order, so a later message never
+  overtakes an earlier one on the same channel (eager, buffered sends
+  never block on their receiver);
 * the per-rank request table: an ISEND request completes at its WAIT,
   an IRECV request binds to the channel's next message and completes
   at its WAIT once bound;
@@ -24,7 +25,20 @@ algebra* through the hook methods (``_compute``, ``_send``, ``_post``,
 handed to the matching ``_recv``, so a tool can carry anything with a
 message: availability clocks, byte counts, dependency-tape nodes.  The
 base class's hooks do nothing, which makes it a time-free replay of the
-matching semantics on its own (tracelint's deadlock rule).
+matching semantics on its own (tracelint's deadlock rule).  MFACT,
+ground-truth synthesis and the simulator's :class:`SimReplay` are the
+other users.
+
+A receive can be *matched* before its data has *arrived*.  The
+simulator's payload is an in-flight message whose arrival time the
+network model fills in later, from an event.  Its ``_recv`` returns a
+true value while the message is still in flight; the kernel then parks
+the rank with an ``("arrival", channel)`` reason, and the tool's
+delivery callback completes the receive, calls :meth:`_resume` and
+re-enters the ready-queue loop (:meth:`_run_ready`).  That re-entry is
+safe because the loop holds no state across calls and every network
+model schedules its deliveries as events: a delivery never runs inside
+the ``_send`` that caused it.
 
 The ready queue is FIFO.  A tool whose time algebra depends on the
 order ranks run in overrides ``_wake`` and ``_pop``.
@@ -33,12 +47,12 @@ order ranks run in overrides ``_wake`` and ``_pop``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Sized, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trace.events import Op, OpKind
 from repro.trace.trace import TraceSet
 
-__all__ = ["MatchingReplay", "ReplayDeadlockError", "oldest_unmatched"]
+__all__ = ["MatchingReplay", "ReplayDeadlockError"]
 
 _COMPUTE = OpKind.COMPUTE
 _SEND = OpKind.SEND
@@ -71,28 +85,19 @@ class _Posted:
         self.msg = _UNBOUND
 
 
+class _Channels(dict):
+    """Envelope key -> (queued payloads, posted receives); a key's
+    channel is created on first use, so iteration is first-use order."""
+
+    def __missing__(self, key: Tuple[int, int, int, int]) -> Tuple[Deque, Deque[_Posted]]:
+        chan = self[key] = (deque(), deque())
+        return chan
+
+
 def _channel_name(key: Tuple[int, int, int, int]) -> str:
     """``(src=…, dst=…, tag=…) on comm …`` for one envelope key."""
     src, dst, tag, comm = key
     return f"(src={src}, dst={dst}, tag={tag}) on comm {comm}"
-
-
-def oldest_unmatched(
-    channels: Iterable[Tuple[Tuple[int, int, int, int], Sized, Sized]]
-) -> Optional[str]:
-    """Describe the first channel with queued sends or posted receives.
-
-    ``channels`` yields ``(key, queued sends, posted receives)`` in
-    first-use order, so "oldest" is the channel that entered matching
-    earliest — usually the root mismatch.
-    """
-    for key, queued, posted in channels:
-        if queued or posted:
-            return (
-                f"oldest unmatched channel {_channel_name(key)}: "
-                f"{len(queued)} queued send(s), {len(posted)} posted receive(s)"
-            )
-    return None
 
 
 def _find_cycle(edges: Dict[int, Tuple[int, ...]]) -> Optional[List[int]]:
@@ -139,15 +144,16 @@ class MatchingReplay:
         n = trace.nranks
         self.ip = [0] * n
         #: Why each parked rank waits: ("recv", envelope key),
-        #: ("wait", posted IRECV) or ("coll", (comm, instance)).
+        #: ("wait", posted IRECV), ("arrival", envelope key) or
+        #: ("coll", (comm, instance)).
         self.blocked: List[Optional[Tuple]] = [None] * n
-        #: Envelope key -> (queued payloads, posted receives), first use first.
-        self._channels: Dict[Tuple[int, int, int, int], Tuple[Deque, Deque[_Posted]]] = {}
+        self._channels = _Channels()
         self._requests: List[Dict[int, object]] = [{} for _ in range(n)]
         self._coll: Dict[Tuple[int, int], Dict[int, object]] = {}
         self._coll_instance: List[Dict[int, int]] = [{} for _ in range(n)]
         self._ready = deque()
         self._queued = [False] * n
+        self._done = [False] * n
         self.steps = 0
 
     # -- time algebra (hooks; the base replay keeps no time) ----------------
@@ -162,9 +168,11 @@ class MatchingReplay:
     def _post(self, rank: int, op: Op) -> None:
         """An IRECV was posted (before it binds to any message)."""
 
-    def _recv(self, rank: int, op: Op, rop: Op, msg) -> None:
-        """A receive completed: ``op`` (the RECV, or the WAIT on an
-        IRECV) returns with ``msg``, the payload matched by ``rop``."""
+    def _recv(self, rank: int, op: Op, rop: Op, msg) -> Optional[bool]:
+        """A receive matched: ``op`` (the RECV, or the WAIT on an IRECV)
+        returns with ``msg``, the payload matched by ``rop``.  A true
+        result means the payload is still in flight: the rank stays
+        parked until the tool resumes it."""
 
     def _sent(self, rank: int, op: Op) -> None:
         """A WAIT on an ISEND request returned."""
@@ -189,12 +197,6 @@ class MatchingReplay:
 
     # -- matching ------------------------------------------------------------
 
-    def _channel(self, key: Tuple[int, int, int, int]) -> Tuple[Deque, Deque[_Posted]]:
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = self._channels[key] = (deque(), deque())
-        return chan
-
     def _resume(self, rank: int) -> None:
         """``rank``'s parked op completed: step past it and requeue."""
         self.blocked[rank] = None
@@ -203,21 +205,24 @@ class MatchingReplay:
 
     def _deliver(self, key: Tuple[int, int, int, int], msg) -> None:
         """A send's payload reached channel ``key``: match it or queue it."""
-        queued, posted = self._channel(key)
+        queued, posted = self._channels[key]
         if not posted:
             queued.append(msg)
             return
         slot = posted.popleft()
         rank = slot.rank
         if slot.op.kind == _RECV:
-            self._recv(rank, slot.op, slot.op, msg)
-            self._resume(rank)
-            return
-        slot.msg = msg
-        why = self.blocked[rank]
-        if why is not None and why[1] is slot:
+            op = slot.op
+        else:
+            slot.msg = msg
+            why = self.blocked[rank]
+            if why is None or why[1] is not slot:
+                return
             del self._requests[rank][slot.op.req]
-            self._recv(rank, self._ops[rank][self.ip[rank]], slot.op, msg)
+            op = self._ops[rank][self.ip[rank]]
+        if self._recv(rank, op, slot.op, msg):
+            self.blocked[rank] = ("arrival", key)
+        else:
             self._resume(rank)
 
     def _rendezvous(self, rank: int, op: Op) -> bool:
@@ -254,17 +259,18 @@ class MatchingReplay:
             self._deliver((rank, op.peer, op.tag, op.comm), self._send(rank, op))
         elif kind == _RECV:
             key = (op.peer, rank, op.tag, op.comm)
-            queued, posted = self._channel(key)
-            if queued:
-                self._recv(rank, op, op, queued.popleft())
-            else:
+            queued, posted = self._channels[key]
+            if not queued:
                 posted.append(_Posted(rank, op))
                 self.blocked[rank] = ("recv", key)
+                return False
+            if self._recv(rank, op, op, queued.popleft()):
+                self.blocked[rank] = ("arrival", key)
                 return False
         elif kind == _IRECV:
             self._post(rank, op)
             slot = _Posted(rank, op)
-            queued, posted = self._channel((op.peer, rank, op.tag, op.comm))
+            queued, posted = self._channels[op.peer, rank, op.tag, op.comm]
             if queued:
                 slot.msg = queued.popleft()
             else:
@@ -282,7 +288,10 @@ class MatchingReplay:
                 self._sent(rank, op)
             elif slot.msg is not _UNBOUND:
                 del requests[op.req]
-                self._recv(rank, op, slot.op, slot.msg)
+                if self._recv(rank, op, slot.op, slot.msg):
+                    rop = slot.op
+                    self.blocked[rank] = ("arrival", (rop.peer, rank, rop.tag, rop.comm))
+                    return False
             else:
                 self.blocked[rank] = ("wait", slot)
                 return False
@@ -296,32 +305,42 @@ class MatchingReplay:
     def drain(self) -> List[int]:
         """Run every rank until it finishes or blocks for good; return
         the ranks that never finished (empty unless deadlocked)."""
+        for rank in range(len(self._ops)):
+            self._wake(rank)
+        self._run_ready()
+        return self._unfinished()
+
+    def _run_ready(self) -> None:
+        """Run queued ranks until the ready queue is empty.
+
+        Re-entrant: a tool that resumes a rank from outside the loop (a
+        delivery callback) calls it again.
+        """
         ops = self._ops
         ip = self.ip
         blocked = self.blocked
         queued = self._queued
         ready = self._ready
+        done = self._done
         step = self._step
-        n = len(ops)
-        lengths = [len(stream) for stream in ops]
-        for rank in range(n):
-            self._wake(rank)
-        done = [False] * n
+        pop = self._pop
         steps = 0
         while ready:
-            rank = self._pop()
+            rank = pop()
             queued[rank] = False
             if done[rank] or blocked[rank] is not None:
                 continue
-            end = lengths[rank]
+            end = len(ops[rank])
             while ip[rank] < end:
                 steps += 1
                 if not step(rank):
                     break
             if ip[rank] >= end:
                 done[rank] = True
-        self.steps = steps
-        return [r for r in range(n) if not done[r]]
+        self.steps += steps
+
+    def _unfinished(self) -> List[int]:
+        return [r for r, done in enumerate(self._done) if not done]
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -331,7 +350,7 @@ class MatchingReplay:
         if why is None:
             return ()
         kind, what = why
-        if kind == "recv":
+        if kind == "recv" or kind == "arrival":
             return (what[0],)
         if kind == "wait":
             return (what.op.peer,)
@@ -352,6 +371,8 @@ class MatchingReplay:
             kind, what = self.blocked[r]
             if kind == "recv":
                 reasons.append(f"rank {r} in blocking recv on channel {_channel_name(what)}")
+            elif kind == "arrival":
+                reasons.append(f"rank {r} awaiting a message in flight on {_channel_name(what)}")
             elif kind == "wait":
                 reasons.append(f"rank {r} waiting on request {what.op.req}")
             else:
@@ -359,9 +380,15 @@ class MatchingReplay:
         cycle = self.wait_for_cycle(stuck)
         if cycle is not None:
             reasons.append(f"wait-for cycle among ranks {cycle}")
-        oldest = oldest_unmatched((key, q, p) for key, (q, p) in self._channels.items())
-        if oldest is not None:
-            reasons.append(oldest)
+        # Channels sit in first-use order, so the first with queued
+        # sends or posted receives is usually the root mismatch.
+        for key, (queued, posted) in self._channels.items():
+            if queued or posted:
+                reasons.append(
+                    f"oldest unmatched channel {_channel_name(key)}: "
+                    f"{len(queued)} queued send(s), {len(posted)} posted receive(s)"
+                )
+                break
         return ReplayDeadlockError(
             f"replay of {self.trace.name} deadlocked with ranks {shown} blocked: "
             + "; ".join(reasons)

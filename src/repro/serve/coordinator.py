@@ -172,6 +172,9 @@ class Coordinator:
         self._started_at = 0.0
         #: Set once draining has finished every submitted study.
         self.drained = threading.Event()
+        # Requests between receipt and reply; stop() lets them finish.
+        self._inflight = 0
+        self._idle = threading.Condition()
 
         self.metrics = obs.MetricsRegistry() if self.collect_metrics else None
         self.quarantine: Optional[QuarantineRegistry] = None
@@ -242,6 +245,11 @@ class Coordinator:
 
     def stop(self) -> None:
         self._running = False
+        # A request being handled still gets its reply: the drain request
+        # that set ``drained`` is usually one, and the process serving
+        # this coordinator exits as soon as stop() returns.
+        with self._idle:
+            self._idle.wait_for(lambda: self._inflight == 0, timeout=5.0)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -287,9 +295,16 @@ class Coordinator:
                     break
                 if message.get("worker_id"):
                     worker_id = str(message["worker_id"])
-                reply = self._dispatch(message)
-                if reply is not None:
-                    protocol.send_frame(conn, reply)
+                with self._idle:
+                    self._inflight += 1
+                try:
+                    reply = self._dispatch(message)
+                    if reply is not None:
+                        protocol.send_frame(conn, reply)
+                finally:
+                    with self._idle:
+                        self._inflight -= 1
+                        self._idle.notify_all()
         except (protocol.ProtocolError, OSError):
             pass
         finally:

@@ -3,12 +3,13 @@
 Every simulation hot path in this package exists twice: a *scalar*
 reference implementation (the straightforward per-event, per-object
 code the engines shipped with) and a *vectorized* implementation
-(batched event drains, numpy flow state, cached routes and compiled op
-streams).  Both produce byte-identical canonical
-:class:`~repro.core.pipeline.StudyRecord` output — enforced by
-``tests/test_vectorized_equivalence.py`` — so the scalar path serves as
-the executable specification the fast path is differentially tested
-against, and as the baseline ``repro.bench`` measures speedups from.
+(batched event drains, numpy flow state, cached routes and collective
+expansion shared across a record's engines).  Both produce
+byte-identical canonical :class:`~repro.core.pipeline.StudyRecord`
+output — enforced by ``tests/test_vectorized_equivalence.py`` — so the
+scalar path serves as the executable specification the fast path is
+differentially tested against, and as the baseline ``repro.bench``
+measures speedups from.
 
 The default mode is vectorized; set ``REPRO_SIM_SCALAR=1`` in the
 environment (read once at import) or call :func:`set_default_vectorized`

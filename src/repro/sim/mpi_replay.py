@@ -1,39 +1,38 @@
 """MPI replay layer driving a network model.
 
 Replays a trace through the discrete-event engine: per-rank scalar
-virtual clocks, MPI message matching with FIFO channels, eager buffered
-sends (senders block only for NIC injection), and collectives expanded
-into their Thakur–Gropp point-to-point schedules
-(:func:`expand_collectives`) — the same decomposition SST/Macro's MPI
-layer performs before handing traffic to its congestion model.
+virtual clocks, MPI message matching, eager buffered sends (senders
+block only for NIC injection), and collectives expanded into their
+Thakur–Gropp point-to-point schedules (:func:`expand_collectives`) —
+the same decomposition SST/Macro's MPI layer performs before handing
+traffic to its congestion model.
 
 Per-rank communication time (time spent inside MPI calls) is
 accumulated so simulated total *and* communication time can be compared
 with MFACT's counters.
 
-Matching follows the same rules as the shared kernel
-(:mod:`repro.replay`): FIFO channels keyed by the MPI envelope
-``(src, dst, tag, comm)``.  :class:`SimReplay` still carries its own
-copy of them, inlined into the event-driven dispatch loops; the
-cross-tool deadlock property test holds the two copies together.
+Matching is the shared kernel's (:class:`repro.replay.MatchingReplay`):
+FIFO channels keyed by the MPI envelope ``(src, dst, tag, comm)``,
+matched in send order.  :class:`SimReplay` supplies only the time
+algebra: a send hands the network model an in-flight message whose
+arrival time the model's delivery event fills in, and a receive
+matched to a message still in flight parks its rank until then.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro import obs
 from repro.collectives.algorithms import schedule_collective
 from repro.machines.config import MachineConfig
-from repro.replay import ReplayDeadlockError, oldest_unmatched
+from repro.replay import MatchingReplay
 from repro.sim import modes
 from repro.sim.engine import DEFAULT_MAX_EVENTS, EventEngine
 from repro.util.budget import Budget
 from repro.sim.flow import FlowModel
-from repro.sim.network import Fabric, NetworkModel, UnsupportedTraceError
+from repro.sim.network import Fabric, NetworkModel
 from repro.sim.packet import PacketModel
 from repro.sim.packetflow import PacketFlowModel
 from repro.sim.results import SimResult
@@ -42,25 +41,18 @@ from repro.trace.trace import TraceSet
 
 __all__ = [
     "expand_collectives",
-    "compile_streams",
     "ReplayShared",
     "SimReplay",
     "simulate_trace",
     "MODEL_CLASSES",
 ]
 
-# Integer OpKind values for the compiled-stream dispatch below.
-_K_COMPUTE = int(OpKind.COMPUTE)
-_K_SEND = int(OpKind.SEND)
-_K_ISEND = int(OpKind.ISEND)
-_K_RECV = int(OpKind.RECV)
-_K_IRECV = int(OpKind.IRECV)
-_K_WAIT = int(OpKind.WAIT)
-
 #: Tag space reserved for expanded collective traffic.
 COLLECTIVE_TAG_BASE = 1 << 20
 #: Request-id space reserved for expanded collective traffic.
 COLLECTIVE_REQ_BASE = 1 << 30
+
+_SEND = OpKind.SEND
 
 MODEL_CLASSES: Dict[str, Type[NetworkModel]] = {
     "packet": PacketModel,
@@ -132,82 +124,44 @@ def expand_collectives(trace: TraceSet) -> TraceSet:
     )
 
 
-def compile_streams(trace: TraceSet, machine: MachineConfig) -> List[List[Tuple]]:
-    """Flatten an (expanded) trace into per-rank tuple streams.
-
-    Each op becomes a per-kind tuple holding exactly the fields the
-    replay dispatch reads for that kind — the hot loop indexes two or
-    three slots instead of unpacking six attribute loads on an
-    ``__slots__`` object:
-
-    - COMPUTE: ``(kind, work)``
-    - SEND/ISEND: ``(kind, peer, nbytes, tag, req, inject, comm)``
-    - RECV: ``(kind, peer, tag, comm)``
-    - IRECV: ``(kind, peer, tag, req, comm)``
-    - WAIT: ``(kind, req)``
-
-    The machine-dependent floats are pre-baked: the scaled work
-    ``duration * compute_scale`` for COMPUTE and the eager injection
-    time ``nbytes / injection_rate`` for SEND (both single deterministic
-    products, so pre-baking cannot shift a bit).  Worth building only
-    when the streams are reused (every engine of a record replays the
-    same expansion), which is why :class:`ReplayShared` owns the
-    compilation.
-    """
-    scale = machine.compute_scale
-    inj = machine.effective_injection_bandwidth
-    out: List[List[Tuple]] = []
-    for stream in trace.ranks:
-        compiled = []
-        for op in stream:
-            kind = int(op.kind)
-            if kind == _K_COMPUTE:
-                entry = (kind, op.duration * scale)
-            elif kind == _K_SEND:
-                entry = (kind, op.peer, op.nbytes, op.tag, op.req, op.nbytes / inj, op.comm)
-            elif kind == _K_ISEND:
-                entry = (kind, op.peer, op.nbytes, op.tag, op.req, 0.0, op.comm)
-            elif kind == _K_RECV:
-                entry = (kind, op.peer, op.tag, op.comm)
-            elif kind == _K_IRECV:
-                entry = (kind, op.peer, op.tag, op.req, op.comm)
-            else:
-                entry = (kind, op.req)
-            compiled.append(entry)
-        out.append(compiled)
-    return out
-
-
 class ReplayShared:
     """Per-(trace, machine) precomputation shared across engines.
 
     The vectorized measurement path builds one of these per record and
-    hands it to every :class:`SimReplay`: collective expansion, the
-    fabric (topology + routing, read-only during replay) and the
-    compiled op streams are all identical across the packet, flow and
-    packet-flow replays of one trace, so the scalar path's
-    once-per-engine cost collapses to once per record.
+    hands it to every :class:`SimReplay`: collective expansion and the
+    fabric (topology + routing, read-only during replay) are identical
+    across the packet, flow and packet-flow replays of one trace, so the
+    scalar path's once-per-engine cost collapses to once per record.
     """
 
-    __slots__ = ("trace", "machine", "expanded", "fabric", "compiled")
+    __slots__ = ("trace", "machine", "expanded", "fabric")
 
     def __init__(self, trace: TraceSet, machine: MachineConfig):
         self.trace = trace
         self.machine = machine
         self.expanded = expand_collectives(trace)
         self.fabric = Fabric(trace, machine)
-        self.compiled = compile_streams(self.expanded, machine)
 
 
-class _SimChannel:
-    __slots__ = ("deliveries", "slots")
+class _InFlight:
+    """A sent message: its arrival time once the network delivers it,
+    and the rank parked on it until then.  It is its own delivery
+    callback: the network model calls it with the delivery time."""
 
-    def __init__(self):
-        self.deliveries: Deque[float] = deque()
-        self.slots: Deque[Tuple[str, int]] = deque()
+    __slots__ = ("replay", "arrival", "waiter")
+
+    def __init__(self, replay: SimReplay):
+        self.replay = replay
+        self.arrival: Optional[float] = None
+        self.waiter: Optional[int] = None
+
+    def __call__(self, when: float) -> None:
+        self.arrival = when
+        if self.waiter is not None:
+            self.replay._delivered(self.waiter, when)
 
 
-class SimReplay:
+class SimReplay(MatchingReplay):
     """Replay one trace through one network model."""
 
     def __init__(
@@ -235,310 +189,89 @@ class SimReplay:
         self.model = model_cls(self.fabric, self.engine, **model_kwargs)
         self.model.check_trace(trace)
         # ``shared`` must have been built from this same (trace, machine)
-        # pair; it saves re-expanding and re-compiling per engine.
-        self.trace = shared.expanded if shared is not None else expand_collectives(trace)
-        self._compiled = shared.compiled if shared is not None else None
+        # pair; it saves re-expanding the collectives per engine.
+        super().__init__(shared.expanded if shared is not None else expand_collectives(trace))
         n = trace.nranks
         self.clk = [0.0] * n
         self.comm_time = [0.0] * n
         self.compute_time = [0.0] * n
-        self._ip = [0] * n
-        # MPI envelope (src, dst, tag, comm) -> FIFO matching state.
-        self._channels: Dict[Tuple[int, int, int, int], _SimChannel] = {}
-        # req id -> ("isend", None) | ("irecv", delivery-time-or-None)
-        self._requests: List[Dict[int, Tuple[str, Optional[float]]]] = [{} for _ in range(n)]
-        self._blocked_at: List[float] = [0.0] * n  # virtual time a block began
-        self._blocked: List[Optional[Tuple]] = [None] * n
-        self._done = [False] * n
         self._overhead = machine.software_overhead
         self._inj_rate = machine.effective_injection_bandwidth
+        self._scale = machine.compute_scale
+        self._transfer = self.model.transfer
         # Per-OpKind [count, seconds] tallies, flushed to the metrics
-        # registry when run() completes; None keeps the hot loop on the
-        # zero-overhead path while metrics are disabled.
+        # registry when run() completes; None keeps the kernel's step
+        # unwrapped while metrics are disabled.
         self._kind_obs: Optional[Dict[OpKind, List[float]]] = (
             {} if obs.enabled() else None
         )
-        if self._compiled is not None and self._kind_obs is None:
-            # Bind the dispatch once: every _deliver-triggered advance
-            # skips the mode test and wrapper frame.
-            self._advance = self._advance_fast
+        if self._kind_obs is not None:
+            self._step = self._timed_step
 
-    def _tally_op(self, kind: OpKind, t0: float) -> None:
+    def _timed_step(self, rank: int) -> bool:
+        kind = self._ops[rank][self.ip[rank]].kind
+        t0 = time.perf_counter()
+        progressed = MatchingReplay._step(self, rank)
         ent = self._kind_obs.get(kind)
         if ent is None:
             ent = self._kind_obs[kind] = [0, 0.0]
         ent[0] += 1
         ent[1] += time.perf_counter() - t0
+        return progressed
 
-    # -- helpers -----------------------------------------------------------
+    # -- time algebra ----------------------------------------------------------
 
-    def _channel(self, src: int, dst: int, tag: int, comm: int) -> _SimChannel:
-        key = (src, dst, tag, comm)
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = self._channels[key] = _SimChannel()
-        return chan
+    def _compute(self, rank: int, op: Op) -> None:
+        work = op.duration * self._scale
+        self.clk[rank] += work
+        self.compute_time[rank] += work
 
-    def _deliver(self, src: int, dst: int, tag: int, comm: int, when: float) -> None:
-        # Hot path shared by both engine modes: the channel lookup is
-        # inlined (no _channel call) and the ``max`` builtins are spelled
-        # as branches — ``clk[dst] if clk[dst] >= when else when`` picks
-        # the same value ``max`` would, and the waited-time clamp skips
-        # zero adds (``waited`` is ``+0.0`` when the rank never waited,
-        # and ``x + 0.0 == x`` bitwise for the non-negative tallies).
-        key = (src, dst, tag, comm)
-        chan = self._channels.get(key)
-        if chan is None:
-            chan = self._channels[key] = _SimChannel()
-        slots = chan.slots
-        if slots:
-            kind, ident = slots.popleft()
-            clk = self.clk
-            c = clk[dst]
-            arrived = c if c >= when else when
-            if kind == "recv":
-                waited = arrived - self._blocked_at[dst]
-                if waited > 0.0:
-                    self.comm_time[dst] += waited
-                clk[dst] = arrived
-                self._blocked[dst] = None
-                self._ip[dst] += 1
-                self._advance(dst)
-            else:
-                self._requests[dst][ident] = ("irecv", when)
-                blocked = self._blocked[dst]
-                if blocked is not None and blocked[0] == "wait" and blocked[1] == ident:
-                    waited = arrived - self._blocked_at[dst]
-                    if waited > 0.0:
-                        self.comm_time[dst] += waited
-                    clk[dst] = arrived
-                    del self._requests[dst][ident]
-                    self._blocked[dst] = None
-                    self._ip[dst] += 1
-                    self._advance(dst)
+    def _send(self, rank: int, op: Op) -> _InFlight:
+        """Overhead, plus the injection for an eager SEND; the network
+        model fills in the returned message's arrival time."""
+        o = self._overhead
+        start = self.clk[rank] + o
+        self.comm_time[rank] += o
+        if op.kind == _SEND:
+            inject = op.nbytes / self._inj_rate
+            self.clk[rank] = start + inject
+            self.comm_time[rank] += inject
         else:
-            chan.deliveries.append(when)
+            self.clk[rank] = start
+        msg = _InFlight(self)
+        self._transfer(rank, op.peer, op.nbytes, start, msg)
+        return msg
 
-    # -- op execution --------------------------------------------------------
+    def _post(self, rank: int, op: Op) -> None:
+        self.comm_time[rank] += self._overhead
+        self.clk[rank] += self._overhead
 
-    def _advance(self, rank: int) -> None:
-        """Run ``rank`` forward until it blocks, defers to an event, or ends.
+    _sent = _post
 
-        Dispatches to the compiled-stream fast loop when shared
-        precomputation is attached and per-op tallies are off (the
-        fast case is bound directly over this method in ``__init__``);
-        the reference loop below is the behavioral specification both
-        must match (enforced by the differential equivalence suite).
-        """
-        self._advance_ref(rank)
+    def _recv(self, rank: int, op: Op, rop: Op, msg: _InFlight) -> bool:
+        """Overhead, then wait for the data; True parks the rank while
+        the message is still in flight."""
+        self.comm_time[rank] += self._overhead
+        self.clk[rank] += self._overhead
+        if msg.arrival is None:
+            msg.waiter = rank
+            return True
+        self._wait_until(rank, msg.arrival)
+        return False
 
-    def _advance_fast(self, rank: int) -> None:
-        """Compiled-stream twin of :meth:`_advance_ref`.
+    def _wait_until(self, rank: int, when: float) -> None:
+        c = self.clk[rank]
+        if when > c:
+            self.comm_time[rank] += when - c
+            self.clk[rank] = when
 
-        Identical arithmetic and branch structure, operating on the
-        per-kind tuples from :func:`compile_streams` (each branch
-        indexes only the fields its kind carries; the pre-baked floats
-        replace the per-op multiply/divide) with the instruction
-        pointer kept in a local (flushed on every exit so
-        :meth:`_deliver`'s ``_ip`` bump composes exactly as before).
-        """
-        ops = self._compiled[rank]
-        n_ops = len(ops)
-        o = self._overhead
-        clk = self.clk
-        comm_time = self.comm_time
-        requests = self._requests[rank]
-        transfer = self.model.transfer
-        deliver = self._deliver
-        channels = self._channels
-        ip = self._ip[rank]
-        # The rank's clock and time tallies live in unboxed locals for
-        # the whole dispatch loop — nothing else mutates them while this
-        # rank advances (``transfer`` only schedules future events) —
-        # and are flushed at every exit, in the same order the subscript
-        # writes would have landed.
-        c = clk[rank]
-        ct = comm_time[rank]
-        pt = self.compute_time[rank]
-        while ip < n_ops:
-            op = ops[ip]
-            kind = op[0]
-            if kind == _K_COMPUTE:
-                work = op[1]
-                c += work
-                pt += work
-            elif kind == _K_SEND or kind == _K_ISEND:
-                peer = op[1]
-                start = c + o
-                ct += o
-                if kind == _K_SEND:
-                    # Eager: sender is busy for the injection (pre-baked).
-                    inject = op[5]
-                    c = start + inject
-                    ct += inject
-                else:
-                    c = start
-                    requests[op[4]] = ("isend", None)
-                transfer(rank, peer, op[2], start, partial(deliver, rank, peer, op[3], op[6]))
-            elif kind == _K_RECV:
-                ct += o
-                c += o
-                key = (op[1], rank, op[2], op[3])
-                chan = channels.get(key)
-                if chan is None:
-                    chan = channels[key] = _SimChannel()
-                if chan.deliveries:
-                    when = chan.deliveries.popleft()
-                    if when > c:
-                        ct += when - c
-                        c = when
-                else:
-                    clk[rank] = c
-                    comm_time[rank] = ct
-                    self.compute_time[rank] = pt
-                    chan.slots.append(("recv", rank))
-                    self._blocked[rank] = ("recv",)
-                    self._blocked_at[rank] = c
-                    self._ip[rank] = ip
-                    return
-            elif kind == _K_IRECV:
-                ct += o
-                c += o
-                key = (op[1], rank, op[2], op[4])
-                chan = channels.get(key)
-                if chan is None:
-                    chan = channels[key] = _SimChannel()
-                req = op[3]
-                if chan.deliveries:
-                    requests[req] = ("irecv", chan.deliveries.popleft())
-                else:
-                    chan.slots.append(("irecv", req))
-                    requests[req] = ("irecv", None)
-            elif kind == _K_WAIT:
-                req = op[1]
-                entry = requests.get(req)
-                if entry is None:
-                    clk[rank] = c
-                    comm_time[rank] = ct
-                    self.compute_time[rank] = pt
-                    raise RuntimeError(
-                        f"rank {rank} waits on unknown request {req} in {self.trace.name}"
-                    )
-                state, when = entry
-                ct += o
-                c += o
-                if state == "isend":
-                    del requests[req]
-                elif when is not None:
-                    if when > c:
-                        ct += when - c
-                        c = when
-                    del requests[req]
-                else:
-                    clk[rank] = c
-                    comm_time[rank] = ct
-                    self.compute_time[rank] = pt
-                    self._blocked[rank] = ("wait", req)
-                    self._blocked_at[rank] = c
-                    self._ip[rank] = ip
-                    return
-            else:  # pragma: no cover - collectives were expanded away
-                raise RuntimeError(f"unexpanded collective {kind!r} reached the simulator")
-            ip += 1
-        clk[rank] = c
-        comm_time[rank] = ct
-        self.compute_time[rank] = pt
-        self._ip[rank] = ip
-        self._done[rank] = True
+    def _delivered(self, rank: int, when: float) -> None:
+        """The message ``rank`` is parked on arrived at ``when``."""
+        self._wait_until(rank, when)
+        self._resume(rank)
+        self._run_ready()
 
-    def _advance_ref(self, rank: int) -> None:
-        """Reference dispatch loop over :class:`Op` objects."""
-        ops = self.trace.ranks[rank]
-        n_ops = len(ops)
-        o = self._overhead
-        kobs = self._kind_obs
-        t0 = 0.0
-        while self._ip[rank] < n_ops:
-            op = ops[self._ip[rank]]
-            kind = op.kind
-            if kobs is not None:
-                t0 = time.perf_counter()
-            if kind == OpKind.COMPUTE:
-                work = op.duration * self.machine.compute_scale
-                self.clk[rank] += work
-                self.compute_time[rank] += work
-            elif kind in (OpKind.SEND, OpKind.ISEND):
-                start = self.clk[rank] + o
-                self.comm_time[rank] += o
-                if kind == OpKind.SEND:
-                    # Eager: sender is busy for the injection of the payload.
-                    inject = op.nbytes / self._inj_rate
-                    self.clk[rank] = start + inject
-                    self.comm_time[rank] += inject
-                else:
-                    self.clk[rank] = start
-                    self._requests[rank][op.req] = ("isend", None)
-                src, dst, tag, comm, nbytes = rank, op.peer, op.tag, op.comm, op.nbytes
-                self.model.transfer(
-                    src,
-                    dst,
-                    nbytes,
-                    start,
-                    lambda when, s=src, d=dst, t=tag, c=comm: self._deliver(s, d, t, c, when),
-                )
-            elif kind == OpKind.RECV:
-                self.comm_time[rank] += o
-                self.clk[rank] += o
-                chan = self._channel(op.peer, rank, op.tag, op.comm)
-                if chan.deliveries:
-                    when = chan.deliveries.popleft()
-                    if when > self.clk[rank]:
-                        self.comm_time[rank] += when - self.clk[rank]
-                        self.clk[rank] = when
-                else:
-                    chan.slots.append(("recv", rank))
-                    self._blocked[rank] = ("recv",)
-                    self._blocked_at[rank] = self.clk[rank]
-                    if kobs is not None:
-                        self._tally_op(kind, t0)
-                    return
-            elif kind == OpKind.IRECV:
-                self.comm_time[rank] += o
-                self.clk[rank] += o
-                chan = self._channel(op.peer, rank, op.tag, op.comm)
-                if chan.deliveries:
-                    self._requests[rank][op.req] = ("irecv", chan.deliveries.popleft())
-                else:
-                    chan.slots.append(("irecv", op.req))
-                    self._requests[rank][op.req] = ("irecv", None)
-            elif kind == OpKind.WAIT:
-                entry = self._requests[rank].get(op.req)
-                if entry is None:
-                    raise RuntimeError(
-                        f"rank {rank} waits on unknown request {op.req} in {self.trace.name}"
-                    )
-                state, when = entry
-                self.comm_time[rank] += o
-                self.clk[rank] += o
-                if state == "isend":
-                    del self._requests[rank][op.req]
-                elif when is not None:
-                    if when > self.clk[rank]:
-                        self.comm_time[rank] += when - self.clk[rank]
-                        self.clk[rank] = when
-                    del self._requests[rank][op.req]
-                else:
-                    self._blocked[rank] = ("wait", op.req)
-                    self._blocked_at[rank] = self.clk[rank]
-                    if kobs is not None:
-                        self._tally_op(kind, t0)
-                    return
-            else:  # pragma: no cover - collectives were expanded away
-                raise RuntimeError(f"unexpanded collective {kind!r} reached the simulator")
-            if kobs is not None:
-                self._tally_op(kind, t0)
-            self._ip[rank] += 1
-        self._done[rank] = True
+    # -- driver ----------------------------------------------------------------
 
     def run(self, budget: Optional[Budget] = None) -> SimResult:
         """Simulate the whole trace and report times and tool cost.
@@ -549,42 +282,32 @@ class SimReplay:
         raises a :class:`~repro.util.budget.BudgetExceeded` subclass.
         """
         with obs.span(f"sim/{self.model.name}"):
-            return self._run(budget)
-
-    def _run(self, budget: Optional[Budget]) -> SimResult:
-        wall_start = time.perf_counter()
-        budget = budget if budget is not None else Budget()
-        self.engine.set_wall_deadline(budget.wall_seconds)
-        for rank in range(self.original.nranks):
-            self._advance(rank)
-        self.engine.run(
-            max_events=budget.events if budget.events is not None else DEFAULT_MAX_EVENTS
-        )
-        if not all(self._done):
-            stuck = [r for r, d in enumerate(self._done) if not d]
-            oldest = oldest_unmatched(
-                (key, chan.deliveries, chan.slots) for key, chan in self._channels.items()
+            wall_start = time.perf_counter()
+            budget = budget if budget is not None else Budget()
+            self.engine.set_wall_deadline(budget.wall_seconds)
+            self.drain()
+            self.engine.run(
+                max_events=budget.events if budget.events is not None else DEFAULT_MAX_EVENTS
             )
-            raise ReplayDeadlockError(
-                f"simulation of {self.trace.name} deadlocked; blocked ranks {stuck[:8]}"
-                + (f"; {oldest}" if oldest else "")
+            stuck = self._unfinished()
+            if stuck:
+                raise self.deadlock_error(stuck)
+            walltime = time.perf_counter() - wall_start
+            n = self.original.nranks
+            self._flush_metrics()
+            return SimResult(
+                trace_name=self.original.name,
+                app=self.original.app,
+                machine=self.machine.name,
+                model=self.model.name,
+                total_time=max(self.clk),
+                comm_time=sum(self.comm_time) / n,
+                compute_time=sum(self.compute_time) / n,
+                walltime=walltime,
+                events=self.engine.events_processed,
+                messages=self.model.messages_sent,
+                bytes_sent=self.model.bytes_sent,
             )
-        walltime = time.perf_counter() - wall_start
-        n = self.original.nranks
-        self._flush_metrics()
-        return SimResult(
-            trace_name=self.original.name,
-            app=self.original.app,
-            machine=self.machine.name,
-            model=self.model.name,
-            total_time=max(self.clk),
-            comm_time=sum(self.comm_time) / n,
-            compute_time=sum(self.compute_time) / n,
-            walltime=walltime,
-            events=self.engine.events_processed,
-            messages=self.model.messages_sent,
-            bytes_sent=self.model.bytes_sent,
-        )
 
     def _flush_metrics(self) -> None:
         """Publish per-OpKind tallies and traffic totals for this replay.

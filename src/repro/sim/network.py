@@ -101,7 +101,9 @@ class NetworkModel(ABC):
 
     A model receives ``transfer`` calls at the sender's virtual time and
     must invoke the delivery callback (via the engine) at the time the
-    last byte reaches the destination rank.
+    last byte reaches the destination rank — from an event, never from
+    inside ``transfer``: the replay re-enters its ready-queue loop from
+    that callback.
     """
 
     #: Human-readable model name ("packet", "flow", "packet-flow").

@@ -330,6 +330,21 @@ class TestExecutorMetrics:
         assert loaded.metrics == run.manifest.metrics
         assert loaded.to_json() == doc
 
+    def test_collective_expansion_has_a_span(self, specs):
+        """The engines' shared prep (collective expansion and fabric) is
+        timed under the record's span tree, once per record."""
+        run = execute_study(
+            specs[:1],
+            jobs=1,
+            cache_root=None,
+            seed=SEED,
+            collect_metrics=True,
+            sim_vectorized=True,
+        )
+        spans = MetricsSnapshot.from_json(run.manifest.metrics).spans
+        assert spans["record/sim/prep"]["count"] == 1
+        assert spans["record/sim/prep"]["total_seconds"] > 0.0
+
     def test_metrics_off_by_default_leaves_manifest_clean(self, specs):
         run = execute_study(specs[:1], jobs=1, cache_root=None, seed=SEED)
         assert run.manifest.metrics is None

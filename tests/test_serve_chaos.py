@@ -12,8 +12,9 @@ invariants the service exists to provide:
 
 Fault coverage: worker SIGKILL mid-record (lease reclaim), connection
 drop on result delivery (outbox resend + dedup), partition at connect
-time (seeded reconnect backoff), slow sockets (timeouts hold), and a
-coordinator SIGKILL + restart (journal replay).  ``make chaos-serve``
+time (seeded reconnect backoff), slow sockets (timeouts hold), a
+coordinator SIGKILL + restart (journal replay), and a drain reply
+held back while the coordinator process winds down.  ``make chaos-serve``
 runs exactly this file.
 """
 
@@ -222,6 +223,50 @@ class TestSlowSocket:
             ),
         )
         run_scenario(tmp_path, serial_canonical, specs, plan)
+
+
+#: Runs ``repro.serve.cli serve`` with the drain acknowledgement held
+#: back, so the coordinator process is told to wind down while that
+#: reply is still unsent.
+_SLOW_DRAIN_ACK = """
+import sys, time
+from repro.serve import protocol
+from repro.serve.cli import main
+send = protocol.send_frame
+def held_back(sock, message):
+    if message.get("type") == "ack" and message.get("draining"):
+        time.sleep(0.5)
+    send(sock, message)
+protocol.send_frame = held_back
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestDrainReply:
+    def test_drain_is_acknowledged_before_the_coordinator_exits(self, tmp_path):
+        # With nothing submitted, the drain request itself finishes the
+        # drain; the process must still answer it before exiting.
+        endpoint_file = tmp_path / "endpoint"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-c", _SLOW_DRAIN_ACK,
+                "serve", "--port", "0", "--endpoint-file", str(endpoint_file),
+            ],
+            env=base_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (endpoint_file.is_file() and endpoint_file.read_text().strip()):
+                assert proc.poll() is None, proc.stderr.read().decode()
+                assert time.monotonic() < deadline, "no endpoint file"
+                time.sleep(0.05)
+            address = parse_address(endpoint_file.read_text().strip())
+            assert ServeClient(address).drain() == {"type": "ack", "draining": True}
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            kill_hard(proc)
 
 
 class TestCoordinatorRestart:

@@ -188,6 +188,35 @@ class TestModelsAgreeUncontended:
         assert res.total_time > 0
 
 
+class TestNonOvertaking:
+    """MPI keeps send order on one ``(src, dst, tag, comm)`` channel: a
+    later small message never overtakes an earlier large one, even when
+    the network delivers its bytes first."""
+
+    @staticmethod
+    def _trace(big, small=None, rpn=1):
+        sender = [Op(OpKind.ISEND, peer=1, nbytes=big, tag=0, req=1)]
+        receiver = [Op(OpKind.RECV, peer=0, nbytes=big, tag=0)]
+        if small is not None:
+            sender.append(Op(OpKind.ISEND, peer=1, nbytes=small, tag=0, req=2))
+            receiver += [make_compute(1e-3), Op(OpKind.RECV, peer=0, nbytes=small, tag=0)]
+        sender += [Op(OpKind.WAIT, req=req) for req in range(1, len(sender) + 1)]
+        return TraceSet("overtake", "T", [sender, receiver], machine="cielito", ranks_per_node=rpn)
+
+    @pytest.mark.parametrize("rpn", [1, 2], ids=["apart", "colocated"])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("big,small", [(8 << 20, 8), (1 << 20, 64), (64 << 10, 8)])
+    def test_small_message_waits_for_the_big_one(self, big, small, model, vectorized, rpn):
+        # The first RECV takes the big message, so the 1 ms of compute
+        # starts no earlier than its arrival.
+        arrival = simulate_trace(self._trace(big, rpn=rpn), CIELITO, model, vectorized=vectorized)
+        both = simulate_trace(
+            self._trace(big, small, rpn=rpn), CIELITO, model, vectorized=vectorized
+        )
+        assert both.total_time >= arrival.total_time + 1e-3 * CIELITO.compute_scale
+
+
 class TestContention:
     def _hotspot(self, n=8, nbytes=1 << 20):
         ranks = []
